@@ -234,7 +234,7 @@ std::int64_t FdmSolver::solve(std::int64_t n0, std::int64_t f0,
   const std::int64_t h = (L + 1) / 2;
   const std::int64_t h2 = L - h;
   AMOPT_ENSURES(h >= 1 && h2 >= 1);
-  const bool spawn = cfg_.parallel && h >= cfg_.task_cutoff;
+  const bool spawn = cfg_.parallel && h >= kTaskCutoff;
 
   // One arena row with base f0 - h (the lowest reachable f_mid) covering
   // k in (f0-h, kr-h]: the strip writes its (f_mid, f0+h] cells into the
@@ -249,25 +249,15 @@ std::int64_t FdmSolver::solve(std::int64_t n0, std::int64_t f0,
                   in.subspan(0, static_cast<std::size_t>(2 * h)),
                   midbuf.subspan(0, static_cast<std::size_t>(2 * h)));
   };
-  // The h-step correlation over the provably-red cells. Same spectral
-  // routing as LatticeSolver::run_conv: FFT-path sweeps consume the cache's
-  // reversed kernel spectrum and skip its transform.
+  // The h-step correlation over the provably-red cells; the cache picks
+  // the direct or spectral FFT route (LatticeSolver shares the same call).
   const auto run_conv = [&] {
-    const std::span<double> conv_out = midbuf.subspan(
-        static_cast<std::size_t>(2 * h),
-        static_cast<std::size_t>(std::max<std::int64_t>(kr - f0 - 2 * h, 0)));
-    if (conv_out.empty()) return;
-    const std::span<const double> kernel =
-        kernels_->power(static_cast<std::uint64_t>(h));
-    if (conv::correlate_prefers_fft(conv_out.size(), kernel.size(),
-                                    cfg_.conv_policy)) {
-      const auto spec = kernels_->power_spectrum(
-          static_cast<std::uint64_t>(h),
-          conv::correlate_fft_size(conv_out.size(), kernel.size()));
-      conv::correlate_valid(in, *spec, conv_out, conv::thread_workspace());
-      return;
-    }
-    conv::correlate_valid(in, kernel, conv_out, cfg_.conv_policy);
+    kernels_->correlate(
+        in, {}, static_cast<std::uint64_t>(h),
+        midbuf.subspan(static_cast<std::size_t>(2 * h),
+                       static_cast<std::size_t>(
+                           std::max<std::int64_t>(kr - f0 - 2 * h, 0))),
+        conv::thread_workspace());
   };
   // The legs write disjoint regions of the mid row; at pool width 1
   // invoke2 degrades to exactly the serial order below.

@@ -24,6 +24,12 @@
 // proved from row T-2 downward, so pricers naive-step the first two rows
 // before calling descend(). descend() itself only assumes the property holds
 // from `top.i` downward.
+//
+// The solver has ONE direction: the boundary shrinks (or stays) walking
+// down. Puts reach it through put-call symmetry, P(S, K, R, Y) =
+// C(K, S, Y, R): TOPM prices the swapped call, BOPM the swapped call in the
+// stock numeraire (its mirrored put lattice) — same red/green cells, so
+// the same shrinking boundary.
 
 #include <cstdint>
 #include <memory>
@@ -31,7 +37,6 @@
 #include <vector>
 
 #include "amopt/core/scratch.hpp"
-#include "amopt/fft/convolution.hpp"
 #include "amopt/stencil/kernel_cache.hpp"
 #include "amopt/stencil/linear_stencil.hpp"
 
@@ -55,19 +60,16 @@ struct LatticeRow {
   std::vector<double> red;
 };
 
-/// Direction the red/green boundary moves as the backward induction walks
-/// DOWN the lattice (decreasing i):
-///  * shrinking — the call case (Corollary 2.7): q_i in [q_{i+1}-1, q_{i+1}];
-///  * growing   — the mirrored-put case (library extension, validated
-///    empirically in tests): q_i in [q_{i+1}, q_{i+1}+1].
-enum class BoundaryDrift { shrinking, growing };
+/// Minimum trapezoid height at which the lattice and FDM solvers fork their
+/// convolution and strip legs as sibling TaskPool tasks; shorter trapezoids
+/// run both legs inline (a spawn costs more than they do).
+inline constexpr std::int64_t kTaskCutoff = 512;
 
+/// Solver knobs a caller may set. The direct/FFT convolution crossover and
+/// the task cutoff are internal decisions, not options.
 struct SolverConfig {
-  int base_case = 8;               ///< trapezoid height switch to naive
-  std::int64_t task_cutoff = 512;  ///< min height to fork TaskPool tasks
-  bool parallel = true;
-  BoundaryDrift drift = BoundaryDrift::shrinking;
-  conv::Policy conv_policy{};
+  int base_case = 8;  ///< trapezoid height switch to naive (>= 1)
+  bool parallel = true;  ///< fork descent legs onto the TaskPool
   /// Accuracy knobs of the pricing::Engine::boundary (ALO) engine — the
   /// lattice/FDM solvers ignore them. Defaults are the "accurate" preset
   /// (~1e-8 relative price error, DESIGN.md §6); sessions key their cached
@@ -103,8 +105,8 @@ class LatticeSolver {
   /// new boundary. Used for the rows adjacent to expiry and as the
   /// trapezoid base case. `unbounded_scan` evaluates every cell of the new
   /// row instead of trusting the one-cell boundary-motion bound — required
-  /// for the first step off the expiry row in growing mode, where the
-  /// discrete boundary jumps (see DESIGN.md).
+  /// for the first steps off the expiry row, where the discrete boundary can
+  /// jump right when R > Y (see DESIGN.md).
   [[nodiscard]] LatticeRow step_naive(const LatticeRow& row,
                                       bool unbounded_scan = false) const;
 
@@ -131,12 +133,6 @@ class LatticeSolver {
   std::int64_t solve_base(std::int64_t i0, std::int64_t jL, std::int64_t q0,
                           std::int64_t L, std::span<const double> in,
                           std::span<double> out) const;
-
-  /// Correlate the h-step kernel over the logical input concat(main, tail)
-  /// (a row's red prefix plus its g-1 green-extension cells, staged
-  /// split-operand) writing `n_out` provably-red cells.
-  void run_conv(std::span<const double> main, std::span<const double> tail,
-                std::int64_t h, std::span<double> out);
 
   [[nodiscard]] std::int64_t row_width(std::int64_t i) const noexcept {
     return g_ * i;

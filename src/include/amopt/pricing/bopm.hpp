@@ -2,7 +2,10 @@
 // American (and European) option pricing under the Binomial Option Pricing
 // Model. `american_call_fft` is the paper's O(T log^2 T) algorithm (§2.3);
 // the vanilla variants are the Θ(T^2) Figure-1 loops used as correctness
-// oracles and as the reference series of the benchmarks.
+// oracles and as the reference series of the benchmarks. The fft pricers
+// refuse the double-continuation regime (R < Y < 0 for a call, Y < R < 0
+// for a put; see expect_single_exercise_boundary) with
+// std::invalid_argument — the vanilla loops price it.
 
 #include <cstdint>
 
@@ -54,43 +57,23 @@ class CallGreen final : public core::LatticeGreen {
 /// Direct Θ(T^2) rollback on the put payoff (oracle).
 [[nodiscard]] double american_put_vanilla(const OptionSpec& spec,
                                           std::int64_t T);
-/// Fast put via McDonald–Schroder put-call symmetry:
-/// P(S, K, R, Y) = C(K, S, Y, R). The symmetry is exact on the CRR lattice
-/// (the numeraire change maps path weights one-to-one), so this agrees with
-/// the direct rollback to rounding error; `american_put_fft_direct` below
-/// prices the put on its own lattice without the swap.
+/// The fast put (an extension beyond the paper, which treats calls only),
+/// on the mirrored lattice: reflecting j -> i - j with the taps swapped
+/// makes the put's exercise region (low prices) the green suffix. That
+/// lattice is McDonald–Schroder put-call symmetry, P(S, K, R, Y) =
+/// C(K, S, Y, R), in the stock numeraire — the swapped call divided cell by
+/// cell by u^(2j-i) — so the call solver and its shrinking boundary apply
+/// unchanged, while the cells stay bounded by K. Agrees with
+/// `american_put_vanilla` to FFT rounding at every T. With R <= 0 <= Y
+/// early exercise never pays and the European put is returned.
 [[nodiscard]] double american_put_fft(const OptionSpec& spec, std::int64_t T,
                                       core::SolverConfig cfg = {});
-
-/// Direct fast put on the mirrored lattice (an extension beyond the paper,
-/// which treats calls only): reflecting j -> i - j maps the put grid onto a
-/// left-red/right-green lattice with the taps swapped, and the put's
-/// exercise region (low prices) becomes the green suffix. Agrees with
-/// `american_put_vanilla` to FFT rounding at every T.
-[[nodiscard]] double american_put_fft_direct(const OptionSpec& spec,
-                                             std::int64_t T,
-                                             core::SolverConfig cfg = {});
-/// Shared-cache variant; `kernels` must be built from the MIRRORED stencil
-/// {{s1, s0}, 0} (the put lattice swaps the up/down taps).
-[[nodiscard]] double american_put_fft_direct(const OptionSpec& spec,
-                                             std::int64_t T,
-                                             core::SolverConfig cfg,
-                                             stencil::KernelCache* kernels);
-
-/// Exercise-value oracle of the mirrored put lattice:
-/// value(i, j) = K - S * u^(i-2j).
-class MirroredPutGreen final : public core::LatticeGreen {
- public:
-  MirroredPutGreen(const OptionSpec& spec, const BopmParams& prm)
-      : up_(prm.log_u, prm.T), S_(spec.S), K_(spec.K) {}
-  [[nodiscard]] double value(std::int64_t i, std::int64_t j) const override {
-    return K_ - S_ * up_(i - 2 * j);
-  }
-
- private:
-  PowerTable up_;
-  double S_, K_;
-};
+/// Shared-cache variant; `kernels` may be null and must otherwise be built
+/// from the MIRRORED stencil {{s1, s0}, 0} of derive_bopm(spec, T) (S and K
+/// never enter the taps, so one cache serves a whole put strike ladder).
+[[nodiscard]] double american_put_fft(const OptionSpec& spec, std::int64_t T,
+                                      core::SolverConfig cfg,
+                                      stencil::KernelCache* kernels);
 
 // --- European (the linear special case; the paper's "simpler" problem) ---
 

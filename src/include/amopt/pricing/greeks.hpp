@@ -42,16 +42,15 @@ using RepriceFn = std::function<double(const OptionSpec&)>;
                                                stencil::KernelCache* kernels);
 
 /// Put Greeks via central finite differences of the fast put pricer
-/// (lattice nodes are not reusable across the put-call symmetry swap).
+/// (bopm::american_put_fft; its mirrored lattice keeps no low nodes in the
+/// put's own coordinates).
 [[nodiscard]] Greeks american_put_greeks_bopm(const OptionSpec& spec,
                                               std::int64_t T,
                                               core::SolverConfig cfg = {});
 
 /// Session variant: every evaluation goes through `reprice` (nullable).
-/// Note the default path prices via put-call symmetry while a session
-/// reprices with the direct mirrored-lattice pricer (what `price()` uses
-/// for bopm/put/fft); the two agree to FFT rounding, so finite-difference
-/// greeks agree to the usual cancellation noise.
+/// Sessions reprice with the same pricer through their kernel caches,
+/// which change no bits, so both variants return identical greeks.
 [[nodiscard]] Greeks american_put_greeks_bopm(const OptionSpec& spec,
                                               std::int64_t T,
                                               core::SolverConfig cfg,

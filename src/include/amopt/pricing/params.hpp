@@ -68,6 +68,15 @@ struct BsmParams {
 };
 [[nodiscard]] BsmParams derive_bsm(const OptionSpec& spec, std::int64_t T);
 
+/// Guard of the fft engines against the double-continuation regime
+/// (Battauz, De Donno & Sbuelz 2015): with negative rates, R < Y < 0 for a
+/// call (Y < R < 0 for a put — its put-call-symmetric call), the exercise
+/// region sits BETWEEN two boundaries, while the nonlinear-stencil solvers
+/// assume one red/green split per row and would return a wrong price.
+/// Throws std::invalid_argument naming the regime and pointing at
+/// Engine::vanilla; returns normally everywhere else (including R == Y).
+void expect_single_exercise_boundary(const OptionSpec& spec, bool call);
+
 /// Precomputed powers u^e for e in [-(T+pad), T+pad]; shared by the green
 /// oracles and the vanilla pricers (this is also what the Zubair baseline
 /// calls the "option probability calculation" tables).

@@ -39,6 +39,10 @@
 #include "amopt/poly/poly_power.hpp"
 #include "amopt/stencil/linear_stencil.hpp"
 
+namespace amopt::conv {
+class Workspace;
+}
+
 namespace amopt::stencil {
 
 class KernelCache;
@@ -124,6 +128,15 @@ class KernelCache {
   /// an attached budget entries live as long as the cache.
   [[nodiscard]] std::shared_ptr<const fft::RealSpectrum> power_spectrum(
       std::uint64_t h, std::size_t n);
+
+  /// The solvers' h-step correlation, out[j] = sum_m (taps^h)[m] *
+  /// concat(main, tail)[j + m] (a row's red cells plus any green-extension
+  /// tail). The one place the direct/FFT decision is made: the automatic
+  /// crossover picks the route, FFT-route calls consume the cached kernel
+  /// spectrum (power_spectrum) and direct-route calls the cached
+  /// coefficients (power). An empty `out` is a no-op.
+  void correlate(std::span<const double> main, std::span<const double> tail,
+                 std::uint64_t h, std::span<double> out, conv::Workspace& ws);
 
   /// Attach a registry-level spectrum budget. Must be called before the
   /// first power_spectrum() lookup (the Pricer attaches at cache creation);

@@ -96,7 +96,7 @@ double price_with_cache(const OptionSpec& spec, std::int64_t T, Model model,
       } else {
         switch (engine) {
           case Engine::fft:
-            return bopm::american_put_fft_direct(spec, T, cfg, kernels);
+            return bopm::american_put_fft(spec, T, cfg, kernels);
           case Engine::vanilla: return bopm::american_put_vanilla(spec, T);
           default: unsupported(model, right, style, engine);
         }

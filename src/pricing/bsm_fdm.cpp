@@ -43,6 +43,7 @@ FdmLayout make_layout(const BsmParams& prm) {
 double american_put_fft(const OptionSpec& spec, std::int64_t T,
                         core::SolverConfig cfg,
                         stencil::KernelCache* kernels) {
+  expect_single_exercise_boundary(spec, /*call=*/false);
   const BsmParams prm = derive_bsm(spec, T);
   const FdmLayout lay = make_layout(prm);
   const PutGreen green(prm.ds, lay.kr0 + kPad);

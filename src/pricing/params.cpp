@@ -18,6 +18,17 @@ OptionSpec paper_spec() {
   return s;
 }
 
+void expect_single_exercise_boundary(const OptionSpec& spec, bool call) {
+  // A put's regime is its symmetric call's with the rates swapped.
+  const double r = call ? spec.R : spec.Y;
+  const double y = call ? spec.Y : spec.R;
+  if (r < y && y < 0.0)
+    throw std::invalid_argument(
+        "amopt: double-continuation regime (R < Y < 0 for a call, "
+        "Y < R < 0 for a put) has two exercise boundaries; the fft engines "
+        "assume one, price it with Engine::vanilla");
+}
+
 BopmParams derive_bopm(const OptionSpec& spec, std::int64_t T) {
   AMOPT_EXPECTS(T >= 0);
   AMOPT_EXPECTS(spec.V > 0.0 && spec.expiry_years > 0.0 && spec.S > 0.0 &&

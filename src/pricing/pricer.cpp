@@ -156,6 +156,24 @@ Pricer::CachePtr Pricer::cache_for(const stencil::LinearStencil& st,
 
 namespace {
 
+/// Appends the request's dispatch selection and the resolved solver
+/// configuration — every SolverConfig field — to a store key. The one tag
+/// list shared by the greeks bump store and the implied-vol warm roots.
+void append_dispatch_tags(std::string& key, const PricingRequest& req,
+                          const core::SolverConfig& cfg) {
+  const std::int64_t tags[] = {req.T,
+                               static_cast<std::int64_t>(req.model),
+                               static_cast<std::int64_t>(req.right),
+                               static_cast<std::int64_t>(req.style),
+                               static_cast<std::int64_t>(req.engine),
+                               static_cast<std::int64_t>(cfg.base_case),
+                               static_cast<std::int64_t>(cfg.parallel),
+                               static_cast<std::int64_t>(cfg.alo_nodes),
+                               static_cast<std::int64_t>(cfg.alo_quad),
+                               static_cast<std::int64_t>(cfg.alo_iterations)};
+  key.append(reinterpret_cast<const char*>(tags), sizeof(tags));
+}
+
 /// Everything a single price evaluation depends on, serialized: the spec,
 /// the discretization, the dispatch selection, and the resolved solver
 /// configuration. Two evaluations with equal keys return bit-identical
@@ -167,20 +185,7 @@ namespace {
   const double fields[] = {spec.S, spec.K, spec.R,
                            spec.V, spec.Y, spec.expiry_years};
   std::string key(reinterpret_cast<const char*>(fields), sizeof(fields));
-  const std::int64_t tags[] = {req.T,
-                               static_cast<std::int64_t>(req.model),
-                               static_cast<std::int64_t>(req.right),
-                               static_cast<std::int64_t>(req.style),
-                               static_cast<std::int64_t>(req.engine),
-                               static_cast<std::int64_t>(cfg.base_case),
-                               cfg.task_cutoff,
-                               static_cast<std::int64_t>(cfg.parallel),
-                               static_cast<std::int64_t>(cfg.drift),
-                               static_cast<std::int64_t>(cfg.conv_policy.path),
-                               static_cast<std::int64_t>(cfg.alo_nodes),
-                               static_cast<std::int64_t>(cfg.alo_quad),
-                               static_cast<std::int64_t>(cfg.alo_iterations)};
-  key.append(reinterpret_cast<const char*>(tags), sizeof(tags));
+  append_dispatch_tags(key, req, cfg);
   return key;
 }
 
@@ -294,6 +299,10 @@ namespace {
                                    : "amopt: invalid step count T (need T >= 0)";
   if ((compute & Compute::greeks) != 0u && req.T < 2)
     return "amopt: greeks need T >= 2";
+  // The solvers assert base_case >= 1 as an invariant; a wire client can
+  // send any i32 here.
+  if (req.solver.has_value() && req.solver->base_case < 1)
+    return "amopt: invalid solver.base_case (need >= 1)";
   if ((compute & Compute::implied_vol) != 0u) {
     if (req.T < 1) return "amopt: implied vol needs T >= 1";
     if (!std::isfinite(req.target_price))
@@ -397,20 +406,7 @@ namespace {
                            req.spec.Y,          req.spec.expiry_years,
                            ivc.vol_lo,          ivc.vol_hi};
   std::string key(reinterpret_cast<const char*>(fields), sizeof(fields));
-  const std::int64_t tags[] = {req.T,
-                               static_cast<std::int64_t>(req.model),
-                               static_cast<std::int64_t>(req.right),
-                               static_cast<std::int64_t>(req.style),
-                               static_cast<std::int64_t>(req.engine),
-                               static_cast<std::int64_t>(cfg.base_case),
-                               cfg.task_cutoff,
-                               static_cast<std::int64_t>(cfg.parallel),
-                               static_cast<std::int64_t>(cfg.drift),
-                               static_cast<std::int64_t>(cfg.conv_policy.path),
-                               static_cast<std::int64_t>(cfg.alo_nodes),
-                               static_cast<std::int64_t>(cfg.alo_quad),
-                               static_cast<std::int64_t>(cfg.alo_iterations)};
-  key.append(reinterpret_cast<const char*>(tags), sizeof(tags));
+  append_dispatch_tags(key, req, cfg);
   return key;
 }
 

@@ -84,6 +84,7 @@ double american_call_fft(const OptionSpec& spec, std::int64_t T,
                          core::SolverConfig cfg,
                          stencil::KernelCache* kernels) {
   if (T == 0) return std::max(0.0, spec.S - spec.K);
+  expect_single_exercise_boundary(spec, /*call=*/true);
   if (spec.Y <= 0.0 && spec.R >= 0.0) return european_call_fft(spec, T, kernels);
 
   const TopmParams prm = derive_topm(spec, T);

@@ -36,8 +36,6 @@ static_assert(static_cast<int>(pricing::Style::european) == 1);
 static_assert(static_cast<int>(pricing::Engine::boundary) == 6);
 static_assert(static_cast<int>(pricing::Status::overloaded) == 4);
 static_assert(static_cast<int>(pricing::Status::deadline_exceeded) == 5);
-static_assert(static_cast<int>(core::BoundaryDrift::growing) == 1);
-static_assert(static_cast<int>(conv::Policy::Path::fft) == 2);
 
 // ---------------------------------------------------------------- raw I/O
 // All accessors go through memcpy (defined for any alignment, no aliasing
@@ -115,13 +113,17 @@ void put_header(std::byte* p, std::uint8_t version, Kind kind,
 //  104  i64      iv.T (carried for exactness; the session ignores it)
 //  112  [32]     solver override, all-zero when has_solver == 0:
 //       112 i32  base_case        116 i32 alo_nodes
-//       120 i64  task_cutoff
-//       128 u8x4 parallel, drift, reserved (see below), conv_path
+//       120 i64  reserved (legacy task_cutoff, see below)
+//       128 u8x4 parallel, then three reserved bytes (legacy drift,
+//                memory plane, conv_path)
 //       132 i32  alo_quad         136 i32 alo_iterations
 //       140 u32  reserved (0)
-// Byte 130 carried the retired memory-plane selector (0 arena, 1 heap).
-// Both planes priced bit-identically, so encoders write 0 and decoders
-// accept 0 or 1 and ignore it: frames from older encoders still decode.
+// The legacy fields are retired solver options, now internal decisions:
+// 120 task_cutoff (any i64), 129 drift (0 shrinking, 1 growing), 130 memory
+// plane (0 arena, 1 heap), 131 conv_path (0 automatic, 1 direct, 2 fft).
+// Encoders write 0 to all of them; decoders accept the legacy ranges and
+// ignore the values, so frames from older encoders still decode, and
+// reject anything outside those ranges as bad_enum.
 
 void put_request(std::byte* p, const PricingRequest& q) {
   store_f64(p + 0, q.spec.S);
@@ -149,11 +151,11 @@ void put_request(std::byte* p, const PricingRequest& q) {
     const core::SolverConfig& c = *q.solver;
     store_i32(p + 112, c.base_case);
     store_i32(p + 116, c.alo_nodes);
-    store_i64(p + 120, c.task_cutoff);
+    store_i64(p + 120, 0);
     p[128] = static_cast<std::byte>(c.parallel ? 1 : 0);
-    p[129] = static_cast<std::byte>(c.drift);
+    p[129] = std::byte{0};
     p[130] = std::byte{0};
-    p[131] = static_cast<std::byte>(c.conv_policy.path);
+    p[131] = std::byte{0};
     store_i32(p + 132, c.alo_quad);
     store_i32(p + 136, c.alo_iterations);
     store_le<std::uint32_t>(p + 140, 0);
@@ -197,10 +199,7 @@ void put_request(std::byte* p, const PricingRequest& q) {
     core::SolverConfig c;
     c.base_case = load_i32(p + 112);
     c.alo_nodes = load_i32(p + 116);
-    c.task_cutoff = load_i64(p + 120);
     c.parallel = u8(128) != 0;
-    c.drift = static_cast<core::BoundaryDrift>(u8(129));
-    c.conv_policy.path = static_cast<conv::Policy::Path>(u8(131));
     c.alo_quad = load_i32(p + 132);
     c.alo_iterations = load_i32(p + 136);
     q.solver = c;

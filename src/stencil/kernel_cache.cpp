@@ -184,6 +184,25 @@ std::shared_ptr<const fft::RealSpectrum> KernelCache::power_spectrum(
   return out;
 }
 
+void KernelCache::correlate(std::span<const double> main,
+                            std::span<const double> tail, std::uint64_t h,
+                            std::span<double> out, conv::Workspace& ws) {
+  if (out.empty()) return;
+  // taps^h has (taps - 1) * h + 1 coefficients: the route is decided without
+  // materializing the kernel, so the FFT route never touches the time-domain
+  // tier once the spectrum is warm. Same bits as a transform-per-call
+  // correlation, so the spectrum reuse is pure work elision.
+  const std::size_t klen =
+      static_cast<std::size_t>(h) * (stencil_.taps.size() - 1) + 1;
+  if (conv::correlate_prefers_fft(out.size(), klen, {})) {
+    const auto spec =
+        power_spectrum(h, conv::correlate_fft_size(out.size(), klen));
+    conv::correlate_valid(main, tail, *spec, out, ws);
+    return;
+  }
+  conv::correlate_valid(main, tail, power(h), out, ws);
+}
+
 void KernelCache::evict_spectrum(std::uint64_t key) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   spectra_.erase(key);  // shared_ptr keeps in-flight consumers alive

@@ -214,6 +214,19 @@ TEST(Accuracy, LatticeEnginesAgreeAtFixedT) {
   engine_case("bopm-am-call-cache-oblivious@512", Engine::cache_oblivious,
               1e-10);
   engine_case("bopm-am-call-quantlib@512", Engine::quantlib, 1e-10);
+
+  // The put path — put-call symmetry in the stock numeraire (the mirrored
+  // put lattice) on the call solver — pinned against the put's own vanilla
+  // rollback.
+  const double put_reference = reference_price(
+      make_request(Model::bopm, Right::put, Style::american, Engine::vanilla,
+                   T));
+  pin("bopm-am-put-fft@512", "vanilla put engine, same T=512, scalar 1-thread",
+      1e-8, put_reference, [T](int threads) {
+        return session_price(make_request(Model::bopm, Right::put,
+                                          Style::american, Engine::fft, T),
+                             threads);
+      });
 }
 
 // ---- boundary engine ----------------------------------------------------

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "amopt/pricing/api.hpp"
@@ -295,6 +297,137 @@ TEST(Pricer, BsmChainSharesOneKernelCache) {
   }
 }
 
+TEST(Pricer, BopmPutLadderSharesOneKernelCache) {
+  // The American put's mirrored-lattice taps depend on (R, Y, V, expiry)
+  // only — never on the strike — so a put strike ladder collapses to one
+  // tap group.
+  std::vector<PricingRequest> reqs;
+  for (double k : {110.0, 120.0, 130.0, 140.0, 150.0}) {
+    PricingRequest q;
+    q.spec = paper_spec();
+    q.spec.K = k;
+    q.T = 512;
+    q.right = Right::put;
+    reqs.push_back(q);
+  }
+  Pricer session;
+  const std::vector<PricingResult> res = session.price_many(reqs);
+  const Pricer::Stats st = session.stats();
+  EXPECT_EQ(st.cache_misses, 1u);  // one tap group for the whole ladder
+  EXPECT_EQ(st.cache_hits, 4u);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    ASSERT_EQ(res[i].status, Status::ok) << res[i].message;
+    EXPECT_EQ(res[i].price, bopm::american_put_fft(reqs[i].spec, reqs[i].T));
+    const double v = bopm::american_put_vanilla(reqs[i].spec, reqs[i].T);
+    EXPECT_NEAR(res[i].price, v, 1e-8 * std::max(1.0, std::abs(v)));
+  }
+}
+
+TEST(Pricer, MalformedBaseCaseIsPerItemErrorNotAbort) {
+  // The solvers assert base_case >= 1; a request carrying a smaller value
+  // (a wire client can send any i32) must fail alone at the boundary.
+  std::vector<PricingRequest> reqs(3);
+  for (PricingRequest& q : reqs) {
+    q.spec = paper_spec();
+    q.T = 256;
+  }
+  reqs[0].solver = core::SolverConfig{};
+  reqs[0].solver->base_case = 0;
+  reqs[1].solver = core::SolverConfig{};
+  reqs[1].solver->base_case = -7;
+  reqs[1].model = Model::bsm;
+  reqs[1].right = Right::put;
+  Pricer session;
+  for (const PricingRequest& q : {reqs[0], reqs[1]}) {
+    const PricingResult r = session.price_one(q);
+    EXPECT_EQ(r.status, Status::error);
+    EXPECT_NE(r.error, nullptr);
+    EXPECT_NE(r.message.find("base_case"), std::string::npos) << r.message;
+  }
+  const std::vector<PricingResult> res = session.price_many(reqs);
+  EXPECT_EQ(res[0].status, Status::error);
+  EXPECT_EQ(res[1].status, Status::error);
+  ASSERT_EQ(res[2].status, Status::ok) << res[2].message;
+  EXPECT_EQ(res[2].price, bopm::american_call_fft(reqs[2].spec, reqs[2].T));
+}
+
+/// One American request per (model, right) the fft engines price.
+[[nodiscard]] std::vector<PricingRequest> fft_american_requests(double R,
+                                                                double Y) {
+  std::vector<PricingRequest> reqs;
+  for (const auto& [m, r] : {std::pair{Model::bopm, Right::call},
+                            std::pair{Model::bopm, Right::put},
+                            std::pair{Model::topm, Right::call},
+                            std::pair{Model::topm, Right::put},
+                            std::pair{Model::bsm, Right::put}}) {
+    PricingRequest q;
+    q.spec = paper_spec();
+    q.spec.K = 125.0;
+    q.spec.R = R;
+    q.spec.Y = Y;
+    q.T = 512;
+    q.model = m;
+    q.right = r;
+    reqs.push_back(q);
+  }
+  return reqs;
+}
+
+TEST(Pricer, DoubleContinuationRegimeIsRefusedNotMispriced) {
+  // R < Y < 0 (call) / Y < R < 0 (put): two exercise boundaries, which the
+  // single-boundary fft engines cannot represent. They must refuse with an
+  // error naming the regime; the vanilla rollback still prices it.
+  Pricer session;
+  std::vector<PricingRequest> refused;
+  for (const PricingRequest& q : fft_american_requests(-0.05, -0.01))
+    if (q.right == Right::call) refused.push_back(q);  // R < Y < 0
+  for (const PricingRequest& q : fft_american_requests(-0.01, -0.03))
+    if (q.right == Right::put) refused.push_back(q);  // Y < R < 0
+  for (PricingRequest q : refused) {
+    const std::string what = std::string(to_string(q.model)) + "/" +
+                             std::string(to_string(q.right));
+    const PricingResult fft = session.price_one(q);
+    EXPECT_EQ(fft.status, Status::error) << what;
+    EXPECT_NE(fft.error, nullptr) << what;
+    EXPECT_NE(fft.message.find("double-continuation"), std::string::npos)
+        << what << ": " << fft.message;
+    EXPECT_NE(fft.message.find("vanilla"), std::string::npos) << what;
+    if (q.model == Model::bopm) {
+      // The greeks path refuses too (call: low-node descent; put: its
+      // pricer).
+      q.compute = Compute::greeks;
+      EXPECT_EQ(session.price_one(q).status, Status::error) << what;
+      q.compute = Compute::price;
+    }
+    q.engine = Engine::vanilla;
+    const PricingResult van = session.price_one(q);
+    EXPECT_EQ(van.status, Status::ok) << what << ": " << van.message;
+    EXPECT_TRUE(std::isfinite(van.price)) << what;
+  }
+}
+
+TEST(Pricer, NegativeRatesOutsideTheRefusedRegimeMatchVanilla) {
+  // The neighbours of the double-continuation regime keep a single
+  // boundary (or none), so every fft engine still prices them.
+  Pricer session;
+  for (const auto& [R, Y] : {std::pair{-0.02, -0.02}, std::pair{-0.01, 0.02},
+                            std::pair{0.03, -0.02}}) {
+    for (PricingRequest q : fft_american_requests(R, Y)) {
+      const std::string what = std::string(to_string(q.model)) + "/" +
+                               std::string(to_string(q.right)) +
+                               " R=" + std::to_string(R) +
+                               " Y=" + std::to_string(Y);
+      const PricingResult fft = session.price_one(q);
+      ASSERT_EQ(fft.status, Status::ok) << what << ": " << fft.message;
+      q.engine = Engine::vanilla;
+      const PricingResult van = session.price_one(q);
+      ASSERT_EQ(van.status, Status::ok) << what << ": " << van.message;
+      EXPECT_NEAR(fft.price, van.price, 1e-8 * std::max(1.0, std::abs(van.price)))
+          << what;
+    }
+  }
+}
+
 TEST(Pricer, GreeksManyMatchesFreeFunctions) {
   std::vector<PricingRequest> reqs(2);
   reqs[0].spec = paper_spec();
@@ -319,17 +452,15 @@ TEST(Pricer, GreeksManyMatchesFreeFunctions) {
   EXPECT_EQ(res[0].greeks.rho, c.rho);
   EXPECT_EQ(res[0].price, c.price);
 
-  // Put greeks: the session reprices with the direct mirrored-lattice put
-  // (what price() uses) while the free function goes through put-call
-  // symmetry; the two pricers agree to FFT rounding, so the
-  // finite-difference greeks agree to amplified cancellation noise.
+  // Put greeks: the session and the free function reprice with the one
+  // fast put pricer, so they agree bit for bit too.
   const Greeks p = american_put_greeks_bopm(paper_spec(), 512);
-  EXPECT_NEAR(res[1].greeks.price, p.price, 1e-8 * (1.0 + std::abs(p.price)));
-  EXPECT_NEAR(res[1].greeks.delta, p.delta, 1e-5);
-  EXPECT_NEAR(res[1].greeks.gamma, p.gamma, 1e-4);
-  EXPECT_NEAR(res[1].greeks.theta, p.theta, 1e-3);
-  EXPECT_NEAR(res[1].greeks.vega, p.vega, 1e-3 * (1.0 + std::abs(p.vega)));
-  EXPECT_NEAR(res[1].greeks.rho, p.rho, 1e-3 * (1.0 + std::abs(p.rho)));
+  EXPECT_EQ(res[1].greeks.price, p.price);
+  EXPECT_EQ(res[1].greeks.delta, p.delta);
+  EXPECT_EQ(res[1].greeks.gamma, p.gamma);
+  EXPECT_EQ(res[1].greeks.theta, p.theta);
+  EXPECT_EQ(res[1].greeks.vega, p.vega);
+  EXPECT_EQ(res[1].greeks.rho, p.rho);
 }
 
 TEST(Pricer, ImpliedVolManyMatchesFreeInversionBitForBit) {
@@ -345,7 +476,7 @@ TEST(Pricer, ImpliedVolManyMatchesFreeInversionBitForBit) {
     q.right = Right::put;  // rate-dominant put exercises the direct pricer
     q.spec.R = 0.05;
     q.spec.Y = 0.0;
-    q.target_price = bopm::american_put_fft_direct(q.spec, T);
+    q.target_price = bopm::american_put_fft(q.spec, T);
     reqs.push_back(q);
   }
   Pricer session;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -292,6 +293,50 @@ TEST(Server, MalformedFrameGetsADiagnosticReplyThenClose) {
   // The daemon hung up: the next read is EOF.
   std::byte b;
   EXPECT_EQ(client->read_some({&b, 1}), 0u);
+  conn.join();
+}
+
+TEST(Server, BadSolverOverrideAndRefusedRegimeAreItemErrorsNotAborts) {
+  // A decodable frame can still carry a request the solvers would reject
+  // with an aborting contract check (base_case < 1) or would misprice (the
+  // double-continuation regime). Both must come back as per-item errors,
+  // and the connection must keep serving.
+  Server server;
+  auto [client, daemon] = loopback_pair();
+  std::thread conn([&server, t = daemon.get()] { server.serve(*t); });
+
+  std::vector<PricingRequest> reqs(3);
+  for (PricingRequest& q : reqs) {
+    q.spec = paper_spec();
+    q.T = 128;
+  }
+  reqs[0].solver = core::SolverConfig{};
+  reqs[0].solver->base_case = 0;
+  reqs[1].spec.R = -0.05;  // R < Y < 0: two exercise boundaries
+  reqs[1].spec.Y = -0.01;
+  std::vector<std::byte> frame;
+  wire::encode_request_batch(reqs, frame);
+  ASSERT_TRUE(client->write_all(frame));
+  std::vector<PricingResult> got;
+  ASSERT_EQ(read_result_frame(*client, got), wire::DecodeError::ok);
+  ASSERT_EQ(got.size(), reqs.size());
+  EXPECT_EQ(got[0].status, Status::error);
+  EXPECT_NE(got[0].message.find("base_case"), std::string::npos);
+  EXPECT_EQ(got[1].status, Status::error);
+  EXPECT_NE(got[1].message.find("double-continuation"), std::string::npos);
+  EXPECT_EQ(got[2].status, Status::ok);
+
+  // The next request on the same connection prices normally.
+  Pricer direct;
+  frame.clear();
+  wire::encode_request_batch({&reqs[2], 1}, frame);
+  ASSERT_TRUE(client->write_all(frame));
+  ASSERT_EQ(read_result_frame(*client, got), wire::DecodeError::ok);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].status, Status::ok);
+  EXPECT_EQ(bits(got[0].price), bits(direct.price_one(reqs[2]).price));
+
+  client->close();
   conn.join();
 }
 

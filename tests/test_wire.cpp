@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "amopt/service/wire.hpp"
@@ -58,10 +59,7 @@ void expect_bitwise_equal(const PricingRequest& a, const PricingRequest& b) {
   ASSERT_EQ(a.solver.has_value(), b.solver.has_value());
   if (a.solver.has_value()) {
     EXPECT_EQ(a.solver->base_case, b.solver->base_case);
-    EXPECT_EQ(a.solver->task_cutoff, b.solver->task_cutoff);
     EXPECT_EQ(a.solver->parallel, b.solver->parallel);
-    EXPECT_EQ(a.solver->drift, b.solver->drift);
-    EXPECT_EQ(a.solver->conv_policy.path, b.solver->conv_policy.path);
     EXPECT_EQ(a.solver->alo_nodes, b.solver->alo_nodes);
     EXPECT_EQ(a.solver->alo_quad, b.solver->alo_quad);
     EXPECT_EQ(a.solver->alo_iterations, b.solver->alo_iterations);
@@ -120,11 +118,7 @@ void expect_bitwise_equal(const PricingResult& a, const PricingResult& b) {
           if (i % 2 == 0) {
             core::SolverConfig c;
             c.base_case = 4 + i % 8;
-            c.task_cutoff = 256 + i;
             c.parallel = i % 4 == 0;
-            c.drift = i % 4 < 2 ? core::BoundaryDrift::shrinking
-                                : core::BoundaryDrift::growing;
-            c.conv_policy.path = static_cast<conv::Policy::Path>(i % 3);
             c.alo_nodes = 13 + i % 12;
             c.alo_quad = 25 + i % 40;
             c.alo_iterations = 8 + i % 24;
@@ -319,35 +313,51 @@ TEST(Wire, RecordCorruptionIsRejected) {
 TEST(Wire, SolverBlockEnumBytesAfterThePathRetirements) {
   PricingRequest q;
   q.solver = core::SolverConfig{};
+  q.solver->base_case = 12;
   std::vector<std::byte> good;
   wire::encode_request_batch({&q, 1}, good);
   const std::size_t rec = wire::kHeaderBytes;
-  // Byte 130 once selected the memory plane; encoders now write 0.
-  EXPECT_EQ(good[rec + 130], std::byte{0});
+  // Bytes 120-127 (task cutoff), 129 (drift), 130 (memory plane) and 131
+  // (conv path) carried retired solver options; encoders now write 0.
+  for (std::size_t off = 120; off < 128; ++off)
+    EXPECT_EQ(good[rec + off], std::byte{0}) << "offset " << off;
+  for (std::size_t off : {129u, 130u, 131u})
+    EXPECT_EQ(good[rec + off], std::byte{0}) << "offset " << off;
   std::vector<PricingRequest> out;
   std::size_t consumed = 0;
   ASSERT_EQ(wire::decode_request_batch(good, out, consumed),
             wire::DecodeError::ok);
-  {  // an older encoder's heap-plane byte still decodes, to the same request
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].solver->base_case, 12);
+
+  // An older encoder's legacy values still decode, to the same request:
+  // any i64 task cutoff, drift 1 (growing), memory plane 1 (heap), and
+  // every conv path (0 automatic, 1 direct, 2 fft).
+  const auto decodes_as_good = [&](std::size_t off, std::uint8_t v) {
     std::vector<std::byte> old = good;
-    old[rec + 130] = std::byte{1};
+    old[rec + off] = static_cast<std::byte>(v);
     std::vector<PricingRequest> old_out;
     ASSERT_EQ(wire::decode_request_batch(old, old_out, consumed),
-              wire::DecodeError::ok);
+              wire::DecodeError::ok)
+        << "offset " << off << " value " << int(v);
     ASSERT_EQ(old_out.size(), 1u);
     expect_bitwise_equal(old_out[0], out[0]);
-  }
-  {  // byte 130 = 2 was never valid
+  };
+  for (std::size_t off = 120; off < 128; ++off) decodes_as_good(off, 0xff);
+  decodes_as_good(129, 1);
+  decodes_as_good(130, 1);
+  decodes_as_good(131, 1);
+  decodes_as_good(131, 2);
+
+  // Values outside the legacy ranges were never valid.
+  for (const auto& [off, v] : {std::pair<std::size_t, std::uint8_t>{129, 2},
+                              {130, 2},
+                              {131, 3}}) {
     std::vector<std::byte> bad = good;
-    bad[rec + 130] = std::byte{2};
+    bad[rec + off] = static_cast<std::byte>(v);
     EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
-              wire::DecodeError::bad_enum);
-  }
-  {  // conv path 3 (the retired packed-complex pipeline) is out of range
-    std::vector<std::byte> bad = good;
-    bad[rec + 131] = std::byte{3};
-    EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
-              wire::DecodeError::bad_enum);
+              wire::DecodeError::bad_enum)
+        << "offset " << off << " value " << int(v);
   }
 }
 
