@@ -70,8 +70,8 @@ int main() {
   for (std::int64_t T = sweep.min_t; T <= sweep.max_t; T *= 2) {
     // --- single quote, fft engine: shared kernel cache prebuilt (a strike
     // ladder shares taps), so the timed region is the per-quote descent.
-    const BsmParams prm = derive_bsm(base, T);
-    stencil::KernelCache cache({{prm.b, prm.c, prm.a}, -1});
+    stencil::KernelCache cache(pricing::detail::shared_cache_stencil(
+        base, T, Model::bsm, Right::put, Style::american, Engine::fft));
     double fft_sink = 0.0;
     OptionSpec fft_spec = base;
     (void)bsm::american_put_fft(fft_spec, T, scfg, &cache);  // warm kernels

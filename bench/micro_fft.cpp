@@ -405,7 +405,7 @@ void BM_KernelLadderDescentPath(benchmark::State& state,
   const LevelScope scope(lvl);
   const std::uint64_t h = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
-    amopt::stencil::KernelCache cache({{0.24, 0.50, 0.25}, 0});
+    amopt::stencil::KernelCache cache({{0.24, 0.50, 0.25}});
     for (std::uint64_t step = h; step >= 1; step /= 2) {
       const auto k = cache.power(step);
       benchmark::DoNotOptimize(k.data());

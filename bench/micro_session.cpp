@@ -47,8 +47,8 @@ namespace {
   const pricing::bopm::CallGreen green(spec, prm);
   core::SolverConfig cfg;
   cfg.parallel = false;
-  stencil::KernelCache cache({{prm.s0, prm.s1}, 0});
-  core::LatticeSolver solver(&cache, {{prm.s0, prm.s1}, 0}, green, cfg);
+  stencil::KernelCache cache({{prm.s0, prm.s1}});
+  core::LatticeSolver solver(&cache, {{prm.s0, prm.s1}}, green, cfg);
   core::LatticeRow row = pricing::bopm::expiry_row(prm, green);
   while (row.i > std::max<std::int64_t>(T - 2, 0))
     row = solver.step_naive(row, /*unbounded_scan=*/true);

@@ -43,11 +43,8 @@ LatticeSolver::LatticeSolver(stencil::KernelCache* shared,
   // A shared cache with the WRONG taps would silently convolve with wrong
   // kernel powers (a plausible but wrong price); fallback is still intact
   // here when shared was passed, so the match is nearly free to check.
-  AMOPT_EXPECTS(shared == nullptr ||
-                (shared->stencil().taps == fallback.taps &&
-                 shared->stencil().left == fallback.left));
+  AMOPT_EXPECTS(shared == nullptr || shared->stencil().taps == fallback.taps);
   AMOPT_EXPECTS(g_ >= 1);
-  AMOPT_EXPECTS(kernels_->stencil().left == 0);
   AMOPT_EXPECTS(cfg_.base_case >= 1);
 }
 
@@ -408,6 +405,14 @@ LatticeRow LatticeSolver::descend(LatticeRow top, std::int64_t i_stop) {
     std::swap(row, next);
   }
   spare_red_ = std::move(next.red);
+  // A trapezoid's convolution column reaches one cell past the shrinking
+  // row width per level, so a row whose cone is all red can come back with
+  // red cells beyond its g*i+1 lattice cells. They lie outside every
+  // dependency cone; the returned row drops them.
+  if (row.q > row_width(row.i)) {
+    row.q = row_width(row.i);
+    row.red.resize(static_cast<std::size_t>(row.q + 1));
+  }
   return row;
 }
 

@@ -14,7 +14,6 @@
 #include "amopt/common/aligned.hpp"
 #include "amopt/common/parallel.hpp"
 #include "amopt/common/timer.hpp"
-#include "amopt/core/fdm_solver.hpp"
 #include "amopt/core/lattice_solver.hpp"
 #include "amopt/fft/convolution.hpp"
 #include "amopt/fft/fft.hpp"

@@ -1,6 +1,9 @@
 #pragma once
-// S5: the paper's nonlinear-stencil solver for lattice models (BOPM §2.3,
-// TOPM §3/A.3).
+// S5: the paper's nonlinear-stencil solver — the one solver of the library.
+// It runs the lattice models (BOPM §2.3, TOPM §3/A.3) as they are and the
+// BSM explicit FDM grid (§4.3) through the index map of pricing/bsm_fdm.hpp,
+// under which Theorem 4.3's boundary becomes this solver's shrinking red
+// prefix.
 //
 // Grid convention (paper Fig. 2b): row i in [0, T] holds cells j in
 // [0, g*i], where g = taps-1 is the cone growth rate (1 for binomial, 2 for
@@ -8,7 +11,8 @@
 // i+1. Every row is a contiguous *red* prefix [0, q_i] (continuation value,
 // the linear stencil applies) followed by a *green* suffix (exercise value,
 // a closed form of (i, j)). Corollary 2.7 / A.6: going down one row the
-// boundary q_i stays or moves one cell left.
+// boundary q_i stays or moves one cell left (Theorem 4.3 for the mapped
+// BSM grid).
 //
 // A trapezoid of height L is solved by (paper Fig. 3b):
 //   1. cells that are provably red at depth h = ceil(L/2) with their whole
@@ -29,7 +33,8 @@
 // down. Puts reach it through put-call symmetry, P(S, K, R, Y) =
 // C(K, S, Y, R): TOPM prices the swapped call, BOPM the swapped call in the
 // stock numeraire (its mirrored put lattice) — same red/green cells, so
-// the same shrinking boundary.
+// the same shrinking boundary. The BSM put needs no symmetry: its index map
+// puts the exercise region (low k) on the high-j green suffix directly.
 
 #include <cstdint>
 #include <memory>
@@ -60,9 +65,9 @@ struct LatticeRow {
   std::vector<double> red;
 };
 
-/// Minimum trapezoid height at which the lattice and FDM solvers fork their
-/// convolution and strip legs as sibling TaskPool tasks; shorter trapezoids
-/// run both legs inline (a spawn costs more than they do).
+/// Minimum trapezoid height at which the solver forks its convolution and
+/// strip legs as sibling TaskPool tasks; shorter trapezoids run both legs
+/// inline (a spawn costs more than they do).
 inline constexpr std::int64_t kTaskCutoff = 512;
 
 /// Solver knobs a caller may set. The direct/FFT convolution crossover and
@@ -71,7 +76,7 @@ struct SolverConfig {
   int base_case = 8;  ///< trapezoid height switch to naive (>= 1)
   bool parallel = true;  ///< fork descent legs onto the TaskPool
   /// Accuracy knobs of the pricing::Engine::boundary (ALO) engine — the
-  /// lattice/FDM solvers ignore them. Defaults are the "accurate" preset
+  /// trapezoid solver ignores them. Defaults are the "accurate" preset
   /// (~1e-8 relative price error, DESIGN.md §6); sessions key their cached
   /// node tables on (alo_nodes, alo_quad), so batches sharing one setting
   /// share one table.
@@ -97,8 +102,9 @@ class LatticeSolver {
   LatticeSolver(const LatticeSolver&) = delete;
   LatticeSolver& operator=(const LatticeSolver&) = delete;
 
-  /// Full trapezoid descent from `top` to row `i_stop` (inclusive result).
-  /// Requires the boundary-motion property from row top.i downward.
+  /// Full trapezoid descent from `top` to row `i_stop` (inclusive result,
+  /// q <= g*i_stop). Requires the boundary-motion property from row top.i
+  /// downward.
   [[nodiscard]] LatticeRow descend(LatticeRow top, std::int64_t i_stop);
 
   /// One naive backward-induction step (row i -> row i-1), discovering the

@@ -43,7 +43,7 @@ class CallGreen final : public core::LatticeGreen {
 /// (see pricing::price_batch): all strikes of a chain have identical taps
 /// {s0, s1}, so each kernel power is computed once for the whole chain.
 /// `kernels` may be null (falls back to a private cache) and must otherwise
-/// be built from stencil {{s0, s1}, 0} of derive_bopm(spec, T).
+/// be built from stencil {{s0, s1}} of derive_bopm(spec, T).
 [[nodiscard]] double american_call_fft(const OptionSpec& spec, std::int64_t T,
                                        core::SolverConfig cfg,
                                        stencil::KernelCache* kernels);
@@ -69,7 +69,7 @@ class CallGreen final : public core::LatticeGreen {
 [[nodiscard]] double american_put_fft(const OptionSpec& spec, std::int64_t T,
                                       core::SolverConfig cfg = {});
 /// Shared-cache variant; `kernels` may be null and must otherwise be built
-/// from the MIRRORED stencil {{s1, s0}, 0} of derive_bopm(spec, T) (S and K
+/// from the MIRRORED stencil {{s1, s0}} of derive_bopm(spec, T) (S and K
 /// never enter the taps, so one cache serves a whole put strike ladder).
 [[nodiscard]] double american_put_fft(const OptionSpec& spec, std::int64_t T,
                                       core::SolverConfig cfg,
@@ -101,7 +101,7 @@ struct LowNodes {
                                                std::int64_t T,
                                                core::SolverConfig cfg = {});
 /// Shared-cache variant (see american_call_fft); `kernels` may be null and
-/// must otherwise be built from stencil {{s0, s1}, 0} of derive_bopm.
+/// must otherwise be built from stencil {{s0, s1}} of derive_bopm.
 [[nodiscard]] LowNodes american_call_nodes_fft(const OptionSpec& spec,
                                                std::int64_t T,
                                                core::SolverConfig cfg,

@@ -31,7 +31,7 @@ class CallGreen final : public core::LatticeGreen {
 [[nodiscard]] double american_call_fft(const OptionSpec& spec, std::int64_t T,
                                        core::SolverConfig cfg = {});
 /// Shared-cache variant (see pricing::price_batch); `kernels` may be null
-/// and must otherwise be built from stencil {{s0, s1, s2}, 0}.
+/// and must otherwise be built from stencil {{s0, s1, s2}}.
 [[nodiscard]] double american_call_fft(const OptionSpec& spec, std::int64_t T,
                                        core::SolverConfig cfg,
                                        stencil::KernelCache* kernels);

@@ -2,7 +2,7 @@
 // The dispatched kernel table behind amopt::simd::Level.
 //
 // Every member is one hot loop from the FFT engine, the convolution layer,
-// or the nonlinear-stencil solvers, lifted out so each instruction-set
+// or the nonlinear-stencil solver, lifted out so each instruction-set
 // level can provide its own implementation. The scalar table entries are
 // the verbatim loops their call sites used to inline (bit-compatible with
 // the pre-SIMD library); the AVX2/AVX-512 entries process 4/8 doubles per
@@ -56,27 +56,6 @@ struct Kernels {
   void (*correlate_taps_2row)(const double* in, const double* taps,
                               std::size_t ntaps, double* mid, double* out,
                               std::size_t n_mid, std::size_t n_out);
-
-  /// Centered 3-tap sweep out[j] = b*in[j] + c*in[j+1] + a*in[j+2], j < n —
-  /// the BSM FDM solver's historical expression (association order
-  /// (b*x + c*y) + a*z).
-  void (*stencil3)(const double* in, double b, double c, double a, double* out,
-                   std::size_t n);
-
-  /// Fused two-step 3-tap stencil sweep: mid[j] = b*in[j] + c*in[j+1] +
-  /// a*in[j+2] for j < n_mid, then out[j] = b*mid[j] + c*mid[j+1] +
-  /// a*mid[j+2] for j < n_out (requires n_out + 2 <= n_mid; in must alias
-  /// neither output). The `correlate_taps_2row` temporal fusion applied to
-  /// the stencil3 expression: the second row chases the first block-by-block
-  /// while its cells are still in L1. Per element the arithmetic is exactly
-  /// stencil3's — unseeded (b*x + c*y) + a*z, which preserves the -0.0 bits
-  /// a 0.0-seeded accumulation would flush — so the scalar entry is
-  /// bit-identical to two single-row stencil3 sweeps (asserted in
-  /// test_simd), and the vector entries keep the single-sweep vector/scalar
-  /// partition via the shared aligned-chunk driver.
-  void (*stencil3_2row)(const double* in, double b, double c, double a,
-                        double* mid, double* out, std::size_t n_mid,
-                        std::size_t n_out);
 
   /// Split interleaved complex into SoA halves and back.
   void (*deinterleave)(const cplx* z, double* re, double* im, std::size_t n);

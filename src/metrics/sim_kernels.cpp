@@ -400,19 +400,20 @@ struct LatticeReplay {
     }
   }
 
-  void descend() {
+  /// Descend from the expiry row q.size()-1 down to row `i_stop`.
+  void descend(std::int64_t i_stop = 0) {
     std::int64_t T = static_cast<std::int64_t>(q.size()) - 1;
     row_sweep(g * T + 1);  // expiry payoff row
     std::int64_t i = T;
-    while (i > std::max<std::int64_t>(T - 2, 0)) {  // pre-trapezoid rows
+    while (i > std::max(T - 2, i_stop)) {  // pre-trapezoid rows
       row_sweep(g * i + 1);
       --i;
     }
-    while (i > 0) {
+    while (i > i_stop) {
       const std::int64_t qi = q[static_cast<std::size_t>(i)];
       if (qi < 0) return;
       const std::int64_t L =
-          std::min(std::max<std::int64_t>((qi + 1) / g, 1), i);
+          std::min(std::max<std::int64_t>((qi + 1) / g, 1), i - i_stop);
       if (L <= base_case) {
         row_sweep(qi + 1);
         i -= 1;
@@ -420,72 +421,6 @@ struct LatticeReplay {
       }
       solve(i, 0, qi, L);
       i -= L;
-    }
-  }
-};
-
-/// Trace replay of FdmSolver::advance using the precomputed boundary f[n].
-struct FdmReplay {
-  CacheSim& sim;
-  FftReplayer& fr;
-  const std::vector<std::int64_t>& f;
-  std::int64_t base_case;
-  std::set<std::int64_t> kernel_heights;
-  std::shared_ptr<SimVec<double>> scratch;
-
-  SimVec<double>& scratch_of(std::int64_t n) {
-    if (!scratch || scratch->size() < static_cast<std::size_t>(n))
-      scratch = std::make_shared<SimVec<double>>(
-          sim, static_cast<std::size_t>(n));
-    return *scratch;
-  }
-
-  void row_sweep(std::int64_t width) {
-    if (width <= 0) return;
-    SimVec<double>& cur = scratch_of(width + 2);
-    for (std::int64_t j = 0; j < width; ++j) {
-      cur[static_cast<std::size_t>(j)] = cur[static_cast<std::size_t>(j)] +
-                                         cur[static_cast<std::size_t>(j + 1)] +
-                                         cur[static_cast<std::size_t>(j + 2)];
-    }
-  }
-
-  void solve(std::int64_t n0, std::int64_t f0, std::int64_t kr,
-             std::int64_t L) {
-    if (L <= base_case) {
-      for (std::int64_t s = 0; s < L; ++s) row_sweep(kr - f0);
-      return;
-    }
-    const std::int64_t h = (L + 1) / 2;
-    const std::int64_t h2 = L - h;
-    solve(n0, f0, f0 + 2 * h, h);
-    replay_kernel_power(fr, sim, 3, h, kernel_heights);
-    if (kr - f0 - 2 * h > 0)
-      fr.correlation_spectral(static_cast<std::size_t>(kr - f0),
-                              static_cast<std::size_t>(2 * h + 1),
-                              static_cast<std::size_t>(kr - f0 - 2 * h));
-    const std::int64_t f_mid =
-        std::max(f[static_cast<std::size_t>(n0 + h)], f0 - h);
-    solve(n0 + h, f_mid, kr - h, h2);
-  }
-
-  void run(std::int64_t T, std::int64_t kr0) {
-    row_sweep(kr0);  // initial condition
-    std::int64_t n = 0, kr = kr0, remaining = T;
-    const std::int64_t tail = std::max<std::int64_t>(base_case, 8);
-    while (remaining > tail) {
-      std::int64_t L = (remaining + 1) / 2;
-      L = std::min(L, (kr - f[static_cast<std::size_t>(n)]) / 2);
-      solve(n, f[static_cast<std::size_t>(n)], kr, L);
-      n += L;
-      kr -= L;
-      remaining -= L;
-    }
-    while (remaining > 0) {
-      row_sweep(kr - f[static_cast<std::size_t>(n)]);
-      ++n;
-      --kr;
-      --remaining;
     }
   }
 };
@@ -550,8 +485,18 @@ CacheStats simulate_kernel(SimAlg alg, const OptionSpec& spec,
       sim_bsm_vanilla(sim, T);
       break;
     case SimAlg::bsm_fft: {
+      // The solver that runs: the lattice over the index map of
+      // bsm_fdm.hpp, row i in [1, T+1] holding FDM step T+1-i with boundary
+      // q_i = k_read + i - f_{T+1-i} - 1 (clipped to the row), stopping at
+      // row 1.
       const auto f = pricing::bsm::exercise_boundary_vanilla(spec, T);
-      FdmReplay{sim, fr, f, 10, {}, {}}.run(T, 2 * T);
+      const auto lay = pricing::bsm::make_layout(pricing::derive_bsm(spec, T));
+      std::vector<std::int64_t> q(static_cast<std::size_t>(T + 2), -1);
+      for (std::int64_t i = 1; i <= T + 1; ++i)
+        q[static_cast<std::size_t>(i)] = std::clamp<std::int64_t>(
+            lay.k_read + i - f[static_cast<std::size_t>(T + 1 - i)] - 1, -1,
+            2 * i);
+      LatticeReplay{sim, fr, q, 2, 8, {}, {}}.descend(1);
       break;
     }
   }

@@ -151,18 +151,18 @@ stencil::LinearStencil shared_cache_stencil(const OptionSpec& spec,
     case Model::bopm: {
       const BopmParams prm = derive_bopm(spec, T);
       if (right == Right::put && style == Style::american)
-        return {{prm.s1, prm.s0}, 0};  // mirrored lattice
-      return {{prm.s0, prm.s1}, 0};
+        return {{prm.s1, prm.s0}};  // mirrored lattice
+      return {{prm.s0, prm.s1}};
     }
     case Model::topm: {
       if (right != Right::call) return {};
       const TopmParams prm = derive_topm(spec, T);
-      return {{prm.s0, prm.s1, prm.s2}, 0};
+      return {{prm.s0, prm.s1, prm.s2}};
     }
     case Model::bsm: {
       if (right != Right::put || style != Style::american) return {};
       const BsmParams prm = derive_bsm(spec, T);
-      return {{prm.b, prm.c, prm.a}, -1};  // centered FDM stencil
+      return {{prm.a, prm.c, prm.b}};  // centered FDM stencil, mirrored
     }
   }
   return {};

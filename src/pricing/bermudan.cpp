@@ -35,7 +35,7 @@ double price_fft(const OptionSpec& spec, std::int64_t T,
   const PowerTable up(prm.log_u, std::max<std::int64_t>(T, 1));
   if (T == 0) return std::max(0.0, payoff_of(right, spec.S, spec.K, up(0)));
 
-  stencil::KernelCache kernels({{prm.s0, prm.s1}, 0});
+  stencil::KernelCache kernels({{prm.s0, prm.s1}});
 
   // Full row at expiry (no red/green compression: between dates everything
   // is linear and we keep all T+1 values).

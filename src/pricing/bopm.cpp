@@ -127,7 +127,7 @@ double american_call_fft(const OptionSpec& spec, std::int64_t T,
 
   const BopmParams prm = derive_bopm(spec, T);
   const CallGreen green(spec, prm);
-  core::LatticeSolver solver(kernels, {{prm.s0, prm.s1}, 0}, green, cfg);
+  core::LatticeSolver solver(kernels, {{prm.s0, prm.s1}}, green, cfg);
 
   core::LatticeRow row = expiry_row(prm, green);
   // Corollary 2.7's <=1-cell motion is proved from row T-2 downward, and
@@ -191,7 +191,7 @@ double american_put_fft(const OptionSpec& spec, std::int64_t T,
   // scale swamps the price when R <= Y < 0 (DESIGN.md §1).
   const BopmParams prm = derive_bopm(spec, T);
   const PutGreen green(spec, prm);
-  core::LatticeSolver solver(kernels, {{prm.s1, prm.s0}, 0}, green, cfg);
+  core::LatticeSolver solver(kernels, {{prm.s1, prm.s0}}, green, cfg);
   core::LatticeRow row = expiry_row(prm, green);
   // The same two-row full scan as the call: the discrete boundary can jump
   // right off the expiry row.
@@ -315,7 +315,7 @@ LowNodes american_call_nodes_fft(const OptionSpec& spec, std::int64_t T,
     return nodes;
   }
 
-  core::LatticeSolver solver(kernels, {{prm.s0, prm.s1}, 0}, green, cfg);
+  core::LatticeSolver solver(kernels, {{prm.s0, prm.s1}}, green, cfg);
   core::LatticeRow row = expiry_row(prm, green);
   while (row.i > std::max<std::int64_t>(T - 2, 2))
     row = solver.step_naive(row, /*unbounded_scan=*/true);

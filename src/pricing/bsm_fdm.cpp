@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "amopt/common/assert.hpp"
 #include "amopt/common/parallel.hpp"
@@ -10,34 +11,35 @@
 
 namespace amopt::pricing::bsm {
 
-namespace {
-
-constexpr std::int64_t kPad = 4;
-
-/// Naive-projection tail length at the apex of the solution cone.
-[[nodiscard]] std::int64_t tail_steps(const core::SolverConfig& cfg) {
-  return std::max<std::int64_t>(cfg.base_case, 8);
-}
-
-}  // namespace
-
-PutGreen::PutGreen(double ds, std::int64_t span)
-    : table_(static_cast<std::size_t>(2 * span + 1)), ds_(ds), span_(span) {
-  AMOPT_EXPECTS(span >= 0);
-  for (std::int64_t k = -span; k <= span; ++k)
-    table_[static_cast<std::size_t>(k + span)] =
-        -std::expm1(static_cast<double>(k) * ds);
+PutGreen::PutGreen(double ds, std::int64_t k_read, std::int64_t T)
+    : table_(static_cast<std::size_t>(2 * T + 5)), ds_(ds), k_read_(k_read),
+      off_(T + 3) {
+  AMOPT_EXPECTS(T >= 0);
+  // Entry m - off_ = i - j in [-T-3, T+1] holds the cell k = k_read + i - j.
+  for (std::int64_t m = -off_; m <= T + 1; ++m)
+    table_[static_cast<std::size_t>(m + off_)] =
+        -std::expm1(static_cast<double>(k_read + m) * ds);
 }
 
 FdmLayout make_layout(const BsmParams& prm) {
-  FdmLayout lay;
   const double k_real = prm.s_target / prm.ds;
+  // Past 2^53 the cast below is out of range (UB) or the index inexact; such
+  // a request has a vanishing vol, and its grid could not be sized anyway.
+  if (!(std::abs(k_real) < 0x1p53))
+    throw std::invalid_argument(
+        "BSM FDM: |ln(S/K)|/ds >= 2^53 (volatility too small for the grid)");
+  FdmLayout lay;
   lay.k_read = static_cast<std::int64_t>(std::floor(k_real));
   lay.theta = k_real - static_cast<double>(lay.k_read);
-  // Need: margin kr0 - f0 >= 2T for the recursion (f0 = 0) and
-  // kr0 - T >= k_read + 1 + pad so the read cells survive the cone erosion.
-  lay.kr0 = std::max<std::int64_t>(2 * prm.T, lay.k_read + 1 + prm.T + kPad);
   return lay;
+}
+
+core::LatticeRow payoff_row(std::int64_t T, const FdmLayout& lay) {
+  core::LatticeRow row;
+  row.i = T + 1;
+  row.q = std::clamp<std::int64_t>(lay.k_read + T, -1, 2 * T + 2);
+  row.red.assign(static_cast<std::size_t>(row.q + 1), 0.0);
+  return row;
 }
 
 double american_put_fft(const OptionSpec& spec, std::int64_t T,
@@ -46,44 +48,23 @@ double american_put_fft(const OptionSpec& spec, std::int64_t T,
   expect_single_exercise_boundary(spec, /*call=*/false);
   const BsmParams prm = derive_bsm(spec, T);
   const FdmLayout lay = make_layout(prm);
-  const PutGreen green(prm.ds, lay.kr0 + kPad);
-  core::FdmSolver solver(kernels, {{prm.b, prm.c, prm.a}, -1}, green, cfg);
+  const PutGreen green(prm.ds, lay.k_read, T);
+  core::LatticeSolver solver(kernels, {{prm.a, prm.c, prm.b}}, green, cfg);
 
-  core::FdmRow row;
-  row.n = 0;
-  row.f = 0;  // v0(k) = max(1 - e^{k ds}, 0): green exactly for k <= 0
-  row.kr = lay.kr0;
-  row.red.assign(static_cast<std::size_t>(row.kr - row.f), 0.0);
-
-  std::int64_t remaining = T;
+  core::LatticeRow row = payoff_row(T, lay);
   // The first rows off the payoff are not yet governed by the free-boundary
   // dynamics: for Y > R the discrete boundary jumps to ~ln(R/Y)/ds in one
   // step. Re-discover it with full scans before trusting Theorem 4.3.
-  while (remaining > 0 && T - remaining < 2) {
+  while (row.i > std::max<std::int64_t>(T - 1, 1))
     row = solver.step_naive(row, /*unbounded_scan=*/true);
-    --remaining;
-  }
-  const std::int64_t tail = tail_steps(cfg);
-  while (remaining > tail) {
-    std::int64_t L = (remaining + 1) / 2;
-    L = std::min(L, (row.kr - row.f) / 2);
-    AMOPT_ENSURES(L >= 1);
-    row = solver.advance(std::move(row), L);
-    remaining -= L;
-  }
-  while (remaining > 0) {
-    row = solver.step_naive(row);
-    --remaining;
-  }
+  row = solver.descend(std::move(row), 1);
 
-  const auto value_at = [&](std::int64_t k) {
-    AMOPT_EXPECTS(k <= row.kr);
-    return k <= row.f ? green.value(row.n, k)
-                      : row.red[static_cast<std::size_t>(k - row.f - 1)];
+  const auto value_at = [&](std::int64_t j) {
+    return j <= row.q ? row.red[static_cast<std::size_t>(j)]
+                      : green.value(1, j);
   };
-  const double v = (1.0 - lay.theta) * value_at(lay.k_read) +
-                   lay.theta * value_at(lay.k_read + 1);
-  return spec.K * v;
+  // Row 1: j = 1 is k_read, j = 0 is k_read + 1.
+  return spec.K * ((1.0 - lay.theta) * value_at(1) + lay.theta * value_at(0));
 }
 
 double american_put_fft(const OptionSpec& spec, std::int64_t T,
@@ -92,6 +73,8 @@ double american_put_fft(const OptionSpec& spec, std::int64_t T,
 }
 
 namespace {
+
+constexpr std::int64_t kPad = 4;
 
 template <bool kParallel>
 [[nodiscard]] double vanilla_impl(const OptionSpec& spec, std::int64_t T,

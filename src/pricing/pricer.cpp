@@ -110,8 +110,7 @@ Pricer::CachePtr Pricer::cache_for(const stencil::LinearStencil& st,
   if (st.taps.empty()) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   const auto matches = [&](const Entry& e) {
-    const stencil::LinearStencil& key = e.cache->stencil();
-    return key.left == st.left && key.taps == st.taps;
+    return e.cache->stencil().taps == st.taps;
   };
   // Base tier first: a trial vol that happens to coincide with a chain's
   // own tap group must refresh (and use) the pinned entry, not duplicate it.

@@ -89,7 +89,7 @@ double american_call_fft(const OptionSpec& spec, std::int64_t T,
 
   const TopmParams prm = derive_topm(spec, T);
   const CallGreen green(spec, prm);
-  core::LatticeSolver solver(kernels, {{prm.s0, prm.s1, prm.s2}, 0}, green,
+  core::LatticeSolver solver(kernels, {{prm.s0, prm.s1, prm.s2}}, green,
                              cfg);
 
   core::LatticeRow row = expiry_row(prm, green);

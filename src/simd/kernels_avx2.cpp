@@ -141,53 +141,9 @@ void correlate_taps_2row(const double* in, const double* taps,
                          std::size_t ntaps, double* mid, double* out,
                          std::size_t n_mid, std::size_t n_out) {
   two_row_sweep_driver(
-      in, taps, ntaps, mid, out, n_mid, n_out,
+      in, ntaps, mid, out, n_mid, n_out,
       [&](const double* src, double* dst, std::size_t j0, std::size_t j1) {
         taps_sweep_range(src, taps, ntaps, dst, j0, j1);
-      });
-}
-
-void stencil3(const double* in, double b, double c, double a, double* out,
-              std::size_t n) {
-  const __m256d vb = _mm256_set1_pd(b);
-  const __m256d vc = _mm256_set1_pd(c);
-  const __m256d va = _mm256_set1_pd(a);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d lo = _mm256_mul_pd(vb, _mm256_loadu_pd(in + j));
-    const __m256d mid = _mm256_mul_pd(vc, _mm256_loadu_pd(in + j + 1));
-    const __m256d hi = _mm256_mul_pd(va, _mm256_loadu_pd(in + j + 2));
-    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_add_pd(lo, mid), hi));
-  }
-  for (; j < n; ++j) out[j] = b * in[j] + c * in[j + 1] + a * in[j + 2];
-}
-
-namespace {
-/// The 4-wide body of `stencil3` over [j0, j1): greedy vectors from j0 plus
-/// a scalar tail, so chunks that start on the alignment grid reproduce the
-/// monolithic sweep's vector/scalar partition exactly.
-inline void stencil3_range(const double* in, double b, double c, double a,
-                           double* out, std::size_t j0, std::size_t j1) {
-  const __m256d vb = _mm256_set1_pd(b);
-  const __m256d vc = _mm256_set1_pd(c);
-  const __m256d va = _mm256_set1_pd(a);
-  std::size_t j = j0;
-  for (; j + 4 <= j1; j += 4) {
-    const __m256d lo = _mm256_mul_pd(vb, _mm256_loadu_pd(in + j));
-    const __m256d mid = _mm256_mul_pd(vc, _mm256_loadu_pd(in + j + 1));
-    const __m256d hi = _mm256_mul_pd(va, _mm256_loadu_pd(in + j + 2));
-    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_add_pd(lo, mid), hi));
-  }
-  for (; j < j1; ++j) out[j] = b * in[j] + c * in[j + 1] + a * in[j + 2];
-}
-}  // namespace
-
-void stencil3_2row(const double* in, double b, double c, double a, double* mid,
-                   double* out, std::size_t n_mid, std::size_t n_out) {
-  two_row_sweep_driver(
-      in, nullptr, 3, mid, out, n_mid, n_out,
-      [&](const double* src, double* dst, std::size_t j0, std::size_t j1) {
-        stencil3_range(src, b, c, a, dst, j0, j1);
       });
 }
 
@@ -786,7 +742,6 @@ namespace tables {
 const Kernels avx2 = {
     avx2_impl::cmul,           avx2_impl::csquare,
     avx2_impl::correlate_taps, avx2_impl::correlate_taps_2row,
-    avx2_impl::stencil3,       avx2_impl::stencil3_2row,
     avx2_impl::deinterleave,   avx2_impl::interleave,
     avx2_impl::interleave_scaled,
     avx2_impl::deinterleave_rev,

@@ -130,52 +130,9 @@ void correlate_taps_2row(const double* in, const double* taps,
                          std::size_t ntaps, double* mid, double* out,
                          std::size_t n_mid, std::size_t n_out) {
   two_row_sweep_driver(
-      in, taps, ntaps, mid, out, n_mid, n_out,
+      in, ntaps, mid, out, n_mid, n_out,
       [&](const double* src, double* dst, std::size_t j0, std::size_t j1) {
         taps_sweep_range(src, taps, ntaps, dst, j0, j1);
-      });
-}
-
-void stencil3(const double* in, double b, double c, double a, double* out,
-              std::size_t n) {
-  const __m512d vb = _mm512_set1_pd(b);
-  const __m512d vc = _mm512_set1_pd(c);
-  const __m512d va = _mm512_set1_pd(a);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __m512d acc = _mm512_mul_pd(vb, _mm512_loadu_pd(in + j));
-    acc = _mm512_fmadd_pd(vc, _mm512_loadu_pd(in + j + 1), acc);
-    acc = _mm512_fmadd_pd(va, _mm512_loadu_pd(in + j + 2), acc);
-    _mm512_storeu_pd(out + j, acc);
-  }
-  for (; j < n; ++j) out[j] = b * in[j] + c * in[j + 1] + a * in[j + 2];
-}
-
-namespace {
-/// The 8-wide fmadd body of `stencil3` over [j0, j1); aligned chunk starts
-/// keep the fused sweep on the monolithic vector/scalar partition.
-inline void stencil3_range(const double* in, double b, double c, double a,
-                           double* out, std::size_t j0, std::size_t j1) {
-  const __m512d vb = _mm512_set1_pd(b);
-  const __m512d vc = _mm512_set1_pd(c);
-  const __m512d va = _mm512_set1_pd(a);
-  std::size_t j = j0;
-  for (; j + 8 <= j1; j += 8) {
-    __m512d acc = _mm512_mul_pd(vb, _mm512_loadu_pd(in + j));
-    acc = _mm512_fmadd_pd(vc, _mm512_loadu_pd(in + j + 1), acc);
-    acc = _mm512_fmadd_pd(va, _mm512_loadu_pd(in + j + 2), acc);
-    _mm512_storeu_pd(out + j, acc);
-  }
-  for (; j < j1; ++j) out[j] = b * in[j] + c * in[j + 1] + a * in[j + 2];
-}
-}  // namespace
-
-void stencil3_2row(const double* in, double b, double c, double a, double* mid,
-                   double* out, std::size_t n_mid, std::size_t n_out) {
-  two_row_sweep_driver(
-      in, nullptr, 3, mid, out, n_mid, n_out,
-      [&](const double* src, double* dst, std::size_t j0, std::size_t j1) {
-        stencil3_range(src, b, c, a, dst, j0, j1);
       });
 }
 
@@ -738,7 +695,6 @@ namespace tables {
 const Kernels avx512 = {
     avx512_impl::cmul,         avx512_impl::csquare,
     avx512_impl::correlate_taps, avx512_impl::correlate_taps_2row,
-    avx512_impl::stencil3,     avx512_impl::stencil3_2row,
     avx512_impl::deinterleave, avx512_impl::interleave,
     avx512_impl::interleave_scaled,
     avx512_impl::deinterleave_rev,

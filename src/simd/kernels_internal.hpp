@@ -23,15 +23,13 @@ namespace amopt::simd {
 /// sweep is exactly the partition one monolithic sweep would use — which
 /// makes the fused result bit-identical to two single-row sweeps at every
 /// dispatch level (FMA levels round vector and scalar lanes differently,
-/// so partition identity is what the solvers' plane-parity rests on).
+/// so partition identity is what the solver's plane-parity rests on).
 template <class Sweep>
-inline void two_row_sweep_driver(const double* in, const double* taps,
-                                 std::size_t ntaps, double* mid, double* out,
-                                 std::size_t n_mid, std::size_t n_out,
-                                 Sweep&& sweep) {
+inline void two_row_sweep_driver(const double* in, std::size_t ntaps,
+                                 double* mid, double* out, std::size_t n_mid,
+                                 std::size_t n_out, Sweep&& sweep) {
   constexpr std::size_t kBlock = 512;     // multiple of every vector width
   constexpr std::size_t kSweepAlign = 8;  // widest vector lane count
-  (void)taps;
   const std::size_t lag = ntaps - 1;
   std::size_t done_out = 0;
   for (std::size_t j0 = 0; j0 < n_mid; j0 += kBlock) {
@@ -128,10 +126,6 @@ void correlate_taps(const double* in, const double* taps, std::size_t ntaps,
 void correlate_taps_2row(const double* in, const double* taps,
                          std::size_t ntaps, double* mid, double* out,
                          std::size_t n_mid, std::size_t n_out);
-void stencil3(const double* in, double b, double c, double a, double* out,
-              std::size_t n);
-void stencil3_2row(const double* in, double b, double c, double a, double* mid,
-                   double* out, std::size_t n_mid, std::size_t n_out);
 void bs_dpm(const double* logz, const double* drift_t, const double* inv_vs,
             const double* half_vs, double* dp, double* dm, std::size_t n);
 void norm_cdf(const double* x, double* out, std::size_t n);

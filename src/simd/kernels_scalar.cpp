@@ -44,34 +44,13 @@ void correlate_taps_2row(const double* __restrict in,
   // expression and accumulation order are exactly correlate_taps's, so any
   // interleaving is bit-identical to two separate sweeps.
   two_row_sweep_driver(
-      in, taps, ntaps, mid, out, n_mid, n_out,
+      in, ntaps, mid, out, n_mid, n_out,
       [&](const double* src, double* dst, std::size_t j0, std::size_t j1) {
         for (std::size_t j = j0; j < j1; ++j) {
           double acc = 0.0;
           for (std::size_t m = 0; m < ntaps; ++m) acc += taps[m] * src[j + m];
           dst[j] = acc;
         }
-      });
-}
-
-void stencil3(const double* __restrict in, double b, double c, double a,
-              double* __restrict out, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j)
-    out[j] = b * in[j] + c * in[j + 1] + a * in[j + 2];
-}
-
-void stencil3_2row(const double* __restrict in, double b, double c, double a,
-                   double* __restrict mid, double* __restrict out,
-                   std::size_t n_mid, std::size_t n_out) {
-  // Same block-interleave driver as correlate_taps_2row, with stencil3's
-  // unseeded expression as the sweep body — any interleaving is
-  // bit-identical to two separate stencil3 sweeps (including the -0.0 cells
-  // a seeded accumulation would flush to +0.0).
-  two_row_sweep_driver(
-      in, nullptr, 3, mid, out, n_mid, n_out,
-      [&](const double* src, double* dst, std::size_t j0, std::size_t j1) {
-        for (std::size_t j = j0; j < j1; ++j)
-          dst[j] = b * src[j] + c * src[j + 1] + a * src[j + 2];
       });
 }
 
@@ -215,7 +194,6 @@ namespace tables {
 const Kernels scalar = {
     scalar_impl::cmul,           scalar_impl::csquare,
     scalar_impl::correlate_taps, scalar_impl::correlate_taps_2row,
-    scalar_impl::stencil3,       scalar_impl::stencil3_2row,
     scalar_impl::deinterleave,   scalar_impl::interleave,
     scalar_impl::interleave_scaled,
     scalar_impl::deinterleave_rev,

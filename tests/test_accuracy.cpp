@@ -227,6 +227,18 @@ TEST(Accuracy, LatticeEnginesAgreeAtFixedT) {
                                           Style::american, Engine::fft, T),
                              threads);
       });
+
+  // The BSM put — the paper's explicit FDM scheme, run on the lattice
+  // solver through its index map — pinned against the vanilla BSM grid.
+  const double bsm_reference = reference_price(
+      make_request(Model::bsm, Right::put, Style::american, Engine::vanilla,
+                   T));
+  pin("bsm-am-put-fft@512", "vanilla BSM grid, same T=512, scalar 1-thread",
+      1e-8, bsm_reference, [T](int threads) {
+        return session_price(make_request(Model::bsm, Right::put,
+                                          Style::american, Engine::fft, T),
+                             threads);
+      });
 }
 
 // ---- boundary engine ----------------------------------------------------

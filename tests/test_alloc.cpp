@@ -148,8 +148,8 @@ TEST(Descend, SteadyStateDescendPerformsZeroAllocations) {
   const pricing::bopm::CallGreen green(spec, prm);
   core::SolverConfig cfg;
   cfg.parallel = false;  // deterministic thread placement for the counter
-  stencil::KernelCache cache({{prm.s0, prm.s1}, 0});
-  core::LatticeSolver solver(&cache, {{prm.s0, prm.s1}, 0}, green, cfg);
+  stencil::KernelCache cache({{prm.s0, prm.s1}});
+  core::LatticeSolver solver(&cache, {{prm.s0, prm.s1}}, green, cfg);
 
   core::LatticeRow row = pricing::bopm::expiry_row(prm, green);
   while (row.i > T - 2) row = solver.step_naive(row, /*unbounded_scan=*/true);
@@ -177,7 +177,7 @@ TEST(PricerAlloc, WarmBatchAllocationsAreIndependentOfT) {
   pc.threads = 1;  // deterministic item->thread placement for counting
   Pricer session(pc);
   const auto count_batch = [&](std::int64_t T) {
-    std::vector<PricingRequest> reqs(4);
+    std::vector<PricingRequest> reqs(5);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       reqs[i].spec = paper_spec();
       reqs[i].spec.K = 95.0 + 5.0 * static_cast<double>(i);
@@ -186,6 +186,8 @@ TEST(PricerAlloc, WarmBatchAllocationsAreIndependentOfT) {
       cfg.parallel = false;
       reqs[i].solver = cfg;
     }
+    reqs.back().model = Model::bsm;  // the mapped BSM put lattice
+    reqs.back().right = Right::put;
     (void)session.price_many(reqs);  // warm this T's caches
     const std::uint64_t before = allocs();
     const auto out = session.price_many(reqs);

@@ -46,8 +46,8 @@ void warm_this_thread(void* p) {
   const pricing::bopm::CallGreen green(ctx.spec, ctx.prm);
   core::SolverConfig cfg;
   cfg.parallel = false;
-  stencil::KernelCache cache({{ctx.prm.s0, ctx.prm.s1}, 0});
-  core::LatticeSolver solver(&cache, {{ctx.prm.s0, ctx.prm.s1}, 0}, green,
+  stencil::KernelCache cache({{ctx.prm.s0, ctx.prm.s1}});
+  core::LatticeSolver solver(&cache, {{ctx.prm.s0, ctx.prm.s1}}, green,
                              cfg);
   core::LatticeRow row = pricing::bopm::expiry_row(ctx.prm, green);
   while (row.i > kT - 2)
@@ -67,8 +67,8 @@ TEST(PoolAlloc, WarmParallelDescendPerformsZeroAllocations) {
   const pricing::bopm::CallGreen green(ctx.spec, ctx.prm);
   core::SolverConfig serial_cfg;
   serial_cfg.parallel = false;
-  stencil::KernelCache cache({{ctx.prm.s0, ctx.prm.s1}, 0});
-  core::LatticeSolver serial(&cache, {{ctx.prm.s0, ctx.prm.s1}, 0}, green,
+  stencil::KernelCache cache({{ctx.prm.s0, ctx.prm.s1}});
+  core::LatticeSolver serial(&cache, {{ctx.prm.s0, ctx.prm.s1}}, green,
                              serial_cfg);
   core::LatticeRow row = pricing::bopm::expiry_row(ctx.prm, green);
   while (row.i > kT - 2)
@@ -83,7 +83,7 @@ TEST(PoolAlloc, WarmParallelDescendPerformsZeroAllocations) {
   // The parallel solver shares the warmed kernel cache; its first descend
   // (uncounted) converges any per-solver buffers.
   core::SolverConfig par_cfg;  // parallel = true by default
-  core::LatticeSolver parallel(&cache, {{ctx.prm.s0, ctx.prm.s1}, 0}, green,
+  core::LatticeSolver parallel(&cache, {{ctx.prm.s0, ctx.prm.s1}}, green,
                                par_cfg);
   {
     core::LatticeRow warm = top;

@@ -406,6 +406,37 @@ TEST(Pricer, DoubleContinuationRegimeIsRefusedNotMispriced) {
   }
 }
 
+TEST(Pricer, VanishingVolBsmIsPerItemErrorOrBoundedPrice) {
+  // Two tiny-vol BSM puts (R = Y = 0.05, T = 64). At V = 1e-40 the grid
+  // index |ln(S/K)|/ds is past 2^53: every BSM engine must report an error
+  // instead of a wrong Status::ok price. At V = 1e-12 the index is ~7e11
+  // but in range: the fft put prices 0 on rows clipped to the read cells'
+  // cone instead of sizing a row by the index (std::bad_alloc).
+  Pricer session;
+  PricingRequest q;
+  q.model = Model::bsm;
+  q.right = Right::put;
+  q.T = 64;
+  q.spec = paper_spec();
+  q.spec.R = 0.05;
+  q.spec.Y = 0.05;
+  q.spec.S = 90.0;
+  q.spec.K = 100.0;
+  q.spec.V = 1e-40;
+  for (const Engine e : {Engine::fft, Engine::vanilla}) {
+    q.engine = e;
+    const PricingResult res = session.price_one(q);
+    EXPECT_EQ(res.status, Status::error) << to_string(e) << ": " << res.price;
+    EXPECT_NE(res.message.find("2^53"), std::string::npos) << res.message;
+  }
+  q.engine = Engine::fft;
+  q.spec.S = 110.0;
+  q.spec.V = 1e-12;
+  const PricingResult otm = session.price_one(q);
+  EXPECT_EQ(otm.status, Status::ok) << otm.message;
+  EXPECT_EQ(otm.price, 0.0);
+}
+
 TEST(Pricer, NegativeRatesOutsideTheRefusedRegimeMatchVanilla) {
   // The neighbours of the double-continuation regime keep a single
   // boundary (or none), so every fft engine still prices them.

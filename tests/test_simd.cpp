@@ -137,7 +137,7 @@ TEST_F(SimdTest, PointwiseKernelsAgreeAcrossPathsAndAlignments) {
           }
         }
       }
-      // correlate_taps / stencil3
+      // correlate_taps
       {
         const auto in = random_real(n + 2 + off, 21);
         const double taps[3] = {0.3, 0.5, 0.2};
@@ -147,10 +147,6 @@ TEST_F(SimdTest, PointwiseKernelsAgreeAcrossPathsAndAlignments) {
                     taps[2] * in[off + j + 2];
         std::vector<double> got(n, 0.0);
         k.correlate_taps(in.data() + off, taps, 3, got.data(), n);
-        for (std::size_t j = 0; j < n; ++j)
-          EXPECT_NEAR(got[j], want[j], kPathTol);
-        std::fill(got.begin(), got.end(), 0.0);
-        k.stencil3(in.data() + off, taps[0], taps[1], taps[2], got.data(), n);
         for (std::size_t j = 0; j < n; ++j)
           EXPECT_NEAR(got[j], want[j], kPathTol);
       }
@@ -589,75 +585,6 @@ TEST_F(SimdTest, CorrelateTaps2RowIsBitIdenticalToTwoSweepsAtEveryLevel) {
         }
       }
     }
-  }
-}
-
-TEST_F(SimdTest, Stencil32RowIsBitIdenticalToTwoSweepsAtEveryLevel) {
-  // Same contract as the correlate fusion, for the BSM FDM stencil: at
-  // EVERY level the fused kernel must reproduce two same-level stencil3
-  // sweeps bit for bit (solve_base pairs its base-case steps through it).
-  const simd::Kernels& scalar_ref = simd::tables::scalar;
-  for (const Level lvl : available_levels()) {
-    const simd::Kernels& k = simd::kernels(lvl);
-    for (const std::size_t n_mid : {9u, 17u, 530u, 1333u}) {
-      for (const std::size_t n_out :
-           {std::size_t{0}, n_mid / 3, n_mid / 3 + 3, n_mid - 2}) {
-        const auto in = random_real(n_mid + 2, 51);
-        const auto taps = random_real(3, 52);
-        const double b = taps[0], c = taps[1], a = taps[2];
-        std::vector<double> mid_ref(n_mid), out_ref(n_out);
-        k.stencil3(in.data(), b, c, a, mid_ref.data(), n_mid);
-        k.stencil3(mid_ref.data(), b, c, a, out_ref.data(), n_out);
-        std::vector<double> mid(n_mid), out(n_out);
-        k.stencil3_2row(in.data(), b, c, a, mid.data(), out.data(), n_mid,
-                        n_out);
-        for (std::size_t j = 0; j < n_mid; ++j)
-          ASSERT_EQ(mid[j], mid_ref[j])
-              << simd::to_string(lvl) << " mid j=" << j;
-        for (std::size_t j = 0; j < n_out; ++j)
-          ASSERT_EQ(out[j], out_ref[j])
-              << simd::to_string(lvl) << " out j=" << j;
-        std::vector<double> mid_s(n_mid), out_s(n_out);
-        scalar_ref.stencil3_2row(in.data(), b, c, a, mid_s.data(),
-                                 out_s.data(), n_mid, n_out);
-        for (std::size_t j = 0; j < n_out; ++j)
-          ASSERT_NEAR(out[j], out_s[j], kPathTol)
-              << simd::to_string(lvl) << " xlevel j=" << j;
-      }
-    }
-  }
-}
-
-TEST_F(SimdTest, Stencil32RowPreservesNegativeZeroAtEveryLevel) {
-  // The -0.0 corner that rules out routing this sweep through the
-  // correlate kernels: with all -0.0 input and positive taps every product
-  // is -0.0 and the unseeded stencil3 expression keeps
-  // (-0.0 + -0.0) + -0.0 = -0.0 in both rows, while a 0.0-seeded
-  // accumulation (correlate_taps) flushes it to +0.0. The fused kernel
-  // must keep the sign bit in BOTH rows at every level.
-  const std::size_t n_mid = 67, n_out = 65;
-  const std::vector<double> in(n_mid + 2, -0.0);
-  for (const Level lvl : available_levels()) {
-    const simd::Kernels& k = simd::kernels(lvl);
-    std::vector<double> mid(n_mid, 42.0), out(n_out, 42.0);
-    k.stencil3_2row(in.data(), 1.0, 2.0, 3.0, mid.data(), out.data(), n_mid,
-                    n_out);
-    for (std::size_t j = 0; j < n_mid; ++j) {
-      ASSERT_EQ(mid[j], 0.0) << simd::to_string(lvl) << " j=" << j;
-      ASSERT_TRUE(std::signbit(mid[j]))
-          << simd::to_string(lvl) << " mid j=" << j << " lost -0.0";
-    }
-    for (std::size_t j = 0; j < n_out; ++j) {
-      ASSERT_EQ(out[j], 0.0) << simd::to_string(lvl) << " j=" << j;
-      ASSERT_TRUE(std::signbit(out[j]))
-          << simd::to_string(lvl) << " out j=" << j << " lost -0.0";
-    }
-    // The seeded correlate kernel on the same data flushes the sign — the
-    // behavioral difference this kernel exists for.
-    const double taps[3] = {1.0, 2.0, 3.0};
-    std::vector<double> flushed(n_mid, 42.0);
-    k.correlate_taps(in.data(), taps, 3, flushed.data(), n_mid);
-    ASSERT_FALSE(std::signbit(flushed[0]));
   }
 }
 

@@ -61,12 +61,12 @@ INSTANTIATE_TEST_SUITE_P(
                       StepCase{3, 64}, StepCase{3, 200}));
 
 TEST(LinearStencil, ConeGrowth) {
-  EXPECT_EQ((stencil::LinearStencil{{0.5, 0.5}, 0}).cone_growth(), 1);
-  EXPECT_EQ((stencil::LinearStencil{{0.3, 0.3, 0.3}, -1}).cone_growth(), 2);
+  EXPECT_EQ((stencil::LinearStencil{{0.5, 0.5}}).cone_growth(), 1);
+  EXPECT_EQ((stencil::LinearStencil{{0.3, 0.3, 0.3}}).cone_growth(), 2);
 }
 
 TEST(KernelCache, ReturnsStableSpans) {
-  stencil::KernelCache cache({{0.49, 0.5}, 0});
+  stencil::KernelCache cache({{0.49, 0.5}});
   const auto k8_first = cache.power(8);
   const auto k4 = cache.power(4);
   const auto k8_second = cache.power(8);
@@ -79,7 +79,7 @@ TEST(KernelCache, ReturnsStableSpans) {
 }
 
 TEST(KernelCache, ConcurrentRequestsAgree) {
-  stencil::KernelCache cache({{0.2, 0.5, 0.29}, 0});
+  stencil::KernelCache cache({{0.2, 0.5, 0.29}});
   std::atomic<int> mismatches{0};
   core::TaskPool::instance().for_each(64, [&](std::size_t t) {
     const auto k = cache.power(static_cast<std::uint64_t>(16 + t % 4));
@@ -99,7 +99,7 @@ TEST(KernelCache, LadderPowersMatchNaiveUpTo4096) {
   // the ladder-free poly::power at every height — sharing rungs across
   // heights must not change a single bit.
   const std::vector<double> taps{0.24, 0.50, 0.25};
-  stencil::KernelCache cache({taps, 0});
+  stencil::KernelCache cache({taps});
   for (const std::uint64_t h :
        {1u, 2u, 3u, 5u, 8u, 13u, 64u, 100u, 341u, 1024u, 2048u, 4096u}) {
     const auto k = cache.power(h);
@@ -129,7 +129,7 @@ TEST(KernelCache, LadderPowersMatchNaiveUpTo4096) {
 
 TEST(KernelCache, SpectraAreCachedPerHeightAndSize) {
   const std::vector<double> taps{0.2, 0.5, 0.29};
-  stencil::KernelCache cache({taps, 0});
+  stencil::KernelCache cache({taps});
   const std::size_t n = 256;
   const auto sp1 = cache.power_spectrum(16, n);
   const auto sp2 = cache.power_spectrum(16, n);
@@ -153,7 +153,7 @@ TEST(KernelCache, SpectraAreCachedPerHeightAndSize) {
 
 TEST(KernelCache, SpectralCorrelationMatchesTimeDomain) {
   const std::vector<double> taps{0.3, 0.45, 0.22};
-  stencil::KernelCache cache({taps, 0});
+  stencil::KernelCache cache({taps});
   const std::uint64_t h = 40;
   const auto kernel = cache.power(h);
   const auto in = random_vec(400, 77);
@@ -175,7 +175,7 @@ TEST(SpectrumBudget, CapsBytesWithLruEvictionAcrossCaches) {
   // third evicts the least-recently-used entry, whichever cache owns it.
   const std::vector<double> taps{0.2, 0.5, 0.29};
   auto budget = std::make_shared<stencil::SpectrumBudget>(2 * 2064);
-  stencil::KernelCache a({taps, 0}), b({taps, 0});
+  stencil::KernelCache a({taps}), b({taps});
   a.set_spectrum_budget(budget);
   b.set_spectrum_budget(budget);
 
@@ -209,7 +209,7 @@ TEST(SpectrumBudget, DyingCacheUnregistersItsEntries) {
   const std::vector<double> taps{0.2, 0.5, 0.29};
   auto budget = std::make_shared<stencil::SpectrumBudget>(1u << 20);
   {
-    stencil::KernelCache c({taps, 0});
+    stencil::KernelCache c({taps});
     c.set_spectrum_budget(budget);
     (void)c.power_spectrum(8, 256);
     (void)c.power_spectrum(16, 512);
@@ -220,7 +220,7 @@ TEST(SpectrumBudget, DyingCacheUnregistersItsEntries) {
 }
 
 TEST(LinearStencil, NaiveApplyShrinksCorrectly) {
-  stencil::LinearStencil st{{1.0, 1.0}, 0};  // Pascal's triangle
+  stencil::LinearStencil st{{1.0, 1.0}};  // Pascal's triangle
   const std::vector<double> in{1.0, 0.0, 0.0, 0.0, 0.0};
   const auto out = stencil::apply_steps_naive(st, in, 4);
   ASSERT_EQ(out.size(), 1u);
