@@ -165,7 +165,7 @@ int main() {
           Pricer s(shared_cfg);
           for (const PricingResult& r : s.price_many(xchain))
             share_sink += r.price;
-          shared_groups = s.stats().base_kernel_caches;
+          shared_groups = s.stats().kernel_caches;
         },
         sweep.reps);
     const double share_x = share_on > 0.0 ? share_off / share_on : 0.0;

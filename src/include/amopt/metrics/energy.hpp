@@ -6,14 +6,17 @@
 // first and otherwise falls back to a documented linear model driven by the
 // library's operation counters:
 //
-//     E_pkg = e_flop * flops + P_pkg_static * t
-//     E_ram = e_byte * bytes + P_ram_static * t
+//     E_pkg = e_flop * flops
+//     E_ram = e_byte * bytes
 //
 // The model's purpose is to preserve the figure's *shape* (energy tracks
 // work, so the Θ(T^2) vs O(T log^2 T) gap appears); absolute joules are not
 // claims. Coefficients are order-of-magnitude values for a Skylake-class
 // server part (~0.5 nJ per double-precision op including core overheads,
-// ~30 pJ per DRAM byte, plus static power shares).
+// ~30 pJ per DRAM byte). There is no static-power term: it needs a
+// duration, and wall time and the calling thread's CPU time both move with
+// host load (a thread joining pooled work spins while it waits), which was
+// enough to reorder a 9x difference in counted work at T = 4096.
 
 #include <cstdint>
 #include <string>
@@ -33,8 +36,6 @@ struct EnergySample {
 struct EnergyModel {
   double joules_per_flop = 0.5e-9;
   double joules_per_byte = 30e-12;
-  double pkg_static_watts = 20.0;
-  double ram_static_watts = 3.0;
 };
 
 class EnergyMeter {
@@ -58,7 +59,6 @@ class EnergyMeter {
   std::vector<Domain> domains_;
   EnergyModel model_;
   OpSnapshot ops_start_{};
-  double wall_start_ = 0.0;
 };
 
 }  // namespace amopt::metrics

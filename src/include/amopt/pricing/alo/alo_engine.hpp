@@ -64,6 +64,9 @@ struct NodeTable {
   /// sqrt((1 + y_i)/2) and sqrt((1 - y_i)/2): the only square roots the
   /// u-substitutions u = tau (1+y)/2 need, hoisted out of every quote.
   std::vector<double> sp, sm;
+
+  /// Heap bytes held: the object and its six vectors.
+  [[nodiscard]] std::size_t bytes() const noexcept;
 };
 
 /// Build the geometry for one accuracy setting. `nodes` is clamped to

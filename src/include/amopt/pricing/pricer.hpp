@@ -4,8 +4,10 @@
 // A `Pricer` is a long-lived session owning the reusable machinery the
 // one-shot facade rebuilds on every call: per-tap-group `KernelCache`s
 // (keyed by the stencil taps a request derives, exactly the sharing rule of
-// the legacy `price_batch`), bounded by an LRU so recalibration loops over
-// thousands of distinct vols cannot grow memory without bound. FFT plans
+// the legacy `price_batch`) and boundary-engine node tables, held in one
+// registry bounded by one LRU by bytes (`Pricer::kCacheBytes`), so
+// recalibration loops over thousands of distinct vols — or of node-table
+// settings — cannot grow memory without bound. FFT plans
 // and conv workspaces are already process/thread-global, so a warm session
 // makes the kernel powers — the dominant per-pricing setup cost — the last
 // thing left to amortize:
@@ -46,28 +48,6 @@ namespace amopt::pricing {
 /// Session-level configuration.
 struct PricerConfig {
   core::SolverConfig solver{};  ///< default per-request solver config
-  /// The kernel-cache registry is two-tiered. The BASE tier holds the tap
-  /// groups of the requests themselves (the chain's own contracts) bounded
-  /// by `max_kernel_caches`; the TRANSIENT tier holds the groups minted by
-  /// greeks bumps and implied-vol trial evaluations, bounded separately by
-  /// `max_transient_kernel_caches`. Each tier runs its own LRU, so a flood
-  /// of heterogeneous trial vols can only cycle the (smaller) transient
-  /// tier — it can never evict a chain's base groups. Transient groups that
-  /// later arrive as base requests are promoted. In-flight pricings keep
-  /// evicted caches alive — eviction only forgets warm state, it never
-  /// invalidates a running computation. Bracket endpoints and early
-  /// iterates still repeat across a chain and across recalibration ticks,
-  /// which is where the transient tier's warm-session win comes from; a
-  /// miss costs a rebuild, never correctness.
-  std::size_t max_kernel_caches = 64;
-  std::size_t max_transient_kernel_caches = 16;
-  /// Byte cap for the spectrum tier ACROSS the whole registry: every
-  /// session cache shares one stencil::SpectrumBudget, which LRU-evicts
-  /// (height, fft-size) spectra — whichever cache owns them — once their
-  /// total bytes exceed this. Time-domain kernel powers are NOT counted
-  /// (they are what the LRU'd caches themselves bound); this cap closes the
-  /// one unbounded tier left inside a cache. 0 = unbounded.
-  std::size_t max_spectrum_bytes = 32u << 20;
   /// Cap on this session's batch fan-out width (number of pool executors a
   /// price_many call may occupy, caller included). 0 = the pool's current
   /// width (AMOPT_THREADS / set_threads); 1 pins the session serial without
@@ -189,17 +169,41 @@ class Pricer {
   [[nodiscard]] std::vector<PricingResult> implied_vol_many(
       std::span<const PricingRequest> requests);
 
+  /// The byte budget of the session registry: kernel caches (powers,
+  /// squaring-ladder rungs, power snapshots, spectra) and boundary-engine
+  /// node tables, summed. Least-recently-used entries are dropped until the
+  /// total fits, on every insert and at the end of every batch, so an idle
+  /// session holds at most this much. An entry some in-flight pricing still
+  /// holds is skipped: dropping it would free nothing, only its warmth.
+  ///
+  /// A kernel cache built for a trial vol (an implied-vol iterate or a
+  /// greeks bump) counts twice its bytes until a request asks for its taps
+  /// as its own group. Iterates move with every quote, so such groups are
+  /// rarely asked for again; charged double they can fill at most half the
+  /// budget, while a chain's own groups may use all of it.
+  ///
+  /// A group larger than the whole budget (a BOPM fft solve at T = 2^16, a
+  /// BSM put at T >= 2^15) is dropped when its batch returns, and
+  /// re-pricing it in a later call rebuilds its kernels. 3 MiB keeps a
+  /// warm chain of a 4-strike BOPM call group and a BSM put group at
+  /// T = 8192 (2.3 MB together) across calls, and holds the trial groups
+  /// of the surface-refit workload (perfbench/: 4 daemon shards plus a
+  /// direct session refitting implied vols at T 512-2560) at 1.5 MiB per
+  /// session. Its peak RSS over 10 alternating 30 s runs each, median
+  /// [quartiles]: 22.4 [22.2, 23.0] MB with the count-bounded registry
+  /// this replaced, 21.8 [21.4, 22.5] MB at 3 MiB, 25.9 [25.6, 26.8] MB at
+  /// 4 MiB (4-vCPU AVX-512 VM).
+  static constexpr std::size_t kCacheBytes = std::size_t{3} << 20;
+
   struct Stats {
-    std::size_t kernel_caches = 0;  ///< live registry entries (both tiers)
-    std::size_t base_kernel_caches = 0;       ///< base-tier entries
-    std::size_t transient_kernel_caches = 0;  ///< transient-tier entries
-    std::size_t spectrum_bytes = 0;     ///< spectra held across all caches
-    std::size_t spectrum_entries = 0;   ///< live (h, n) spectrum entries
-    std::uint64_t spectrum_evictions = 0;  ///< dropped to honor the cap
+    std::size_t kernel_caches = 0;  ///< live tap-group registry entries
+    std::size_t node_tables = 0;    ///< live node-table registry entries
+    std::size_t cache_bytes = 0;    ///< registry bytes, <= kCacheBytes idle
+    /// Spectra released with the kernel caches the budget evicted.
+    std::uint64_t spectrum_evictions = 0;
     std::uint64_t cache_hits = 0;   ///< tap-group lookups served warm
     std::uint64_t cache_misses = 0; ///< tap-group lookups that built a cache
     std::uint64_t requests = 0;     ///< items served across all batches
-    std::size_t node_tables = 0;    ///< cached boundary-engine node tables
     std::size_t warm_roots = 0;     ///< contracts with a remembered IV root
     std::size_t warm_bump_prices = 0;   ///< remembered greeks-leg prices
     std::uint64_t bump_price_hits = 0;  ///< greeks legs served from the store
@@ -227,29 +231,24 @@ class Pricer {
 
  private:
   using CachePtr = std::shared_ptr<stencil::KernelCache>;
+  using TablePtr = std::shared_ptr<const alo::NodeTable>;
 
-  /// Which registry tier a lookup belongs to: `base` for a request's own
-  /// tap group (pinned against transient churn), `transient` for groups
-  /// minted by greeks bumps / implied-vol trial evaluations.
-  enum class Tier { base, transient };
-
-  /// Find-or-create the session cache for a tap group; thread-safe. Base
-  /// lookups that hit the transient tier promote the entry. Empty taps (no
-  /// cache-aware path) yield null.
+  /// Find-or-create the session cache for a tap group; thread-safe. Empty
+  /// taps (no cache-aware path) yield null. `trial` marks a lookup for a
+  /// trial vol rather than a request's own spec (see kCacheBytes).
   [[nodiscard]] CachePtr cache_for(const stencil::LinearStencil& st,
-                                   Tier tier);
+                                   bool trial);
 
-  struct Entry;
-  /// Drop the least-recently-used entry of `tier` if it exceeds `cap`.
-  /// Caller holds mu_.
-  static void evict_lru(std::vector<Entry>& tier, std::size_t cap);
+  /// Drop least-recently-used entries no pricing holds until their charges
+  /// fit kCacheBytes. Caller holds mu_.
+  void evict_to_budget();
 
   /// Find-or-create the session's boundary-engine node table for the
-  /// config's (alo_nodes, alo_quad); thread-safe. Lives next to the kernel
-  /// registry so steady-state boundary quotes (and their IV trials) are
-  /// pure evaluation — the table build is a once-per-setting setup cost.
-  [[nodiscard]] std::shared_ptr<const alo::NodeTable> node_table_for(
-      const core::SolverConfig& cfg);
+  /// config's (alo_nodes, alo_quad); thread-safe. Lives in the same
+  /// registry as the kernel caches, so steady-state boundary quotes (and
+  /// their IV trials) are pure evaluation — the table build is a
+  /// once-per-setting setup cost.
+  [[nodiscard]] TablePtr node_table_for(const core::SolverConfig& cfg);
 
   /// Price `spec` under the request's (model, right, style, engine) with
   /// the session cache for its derived taps — the evaluation primitive the
@@ -294,22 +293,24 @@ class Pricer {
 
   PricerConfig cfg_;
   mutable std::mutex mu_;
+  /// One registry entry: a kernel cache (keyed by its stencil's taps) or a
+  /// node table (keyed by (alo_nodes << 32) | alo_quad, clamped values).
   struct Entry {
-    CachePtr cache;             ///< its stencil() is the registry key
+    CachePtr cache;  ///< null for a node table
+    TablePtr table;  ///< null for a kernel cache
+    std::uint64_t table_key = 0;
+    std::size_t table_bytes = 0;  ///< NodeTable::bytes(); tables are immutable
     std::uint64_t last_used = 0;
+    /// A kernel cache only trial-vol lookups have asked for.
+    bool trial = false;
+    [[nodiscard]] std::size_t bytes() const;
+    /// What the entry counts against kCacheBytes: bytes(), doubled while
+    /// `trial`.
+    [[nodiscard]] std::size_t charge() const;
+    /// True while a pricing outside the registry holds the entry.
+    [[nodiscard]] bool in_use() const;
   };
-  std::vector<Entry> base_caches_;       ///< requests' own tap groups
-  std::vector<Entry> transient_caches_;  ///< bump/trial-vol tap groups
-  /// Registry-wide spectrum-tier byte budget (null when the cap is 0);
-  /// attached to every cache the registry creates. shared_ptr because
-  /// evicted-but-in-flight caches may outlive the registry entry.
-  std::shared_ptr<stencil::SpectrumBudget> spectrum_budget_;
-  /// Boundary-engine node tables by (alo_nodes << 32) | alo_quad (clamped
-  /// values). Unbounded by design: entries are ~O(nodes^2) doubles and the
-  /// key space is the handful of accuracy presets a session uses.
-  std::unordered_map<std::uint64_t,
-                     std::shared_ptr<const alo::NodeTable>>
-      node_tables_;
+  std::vector<Entry> entries_;
   std::unordered_map<std::string, WarmRoot> warm_roots_;  ///< by contract key
   /// Bumped-spec prices the greeks legs evaluated, by full evaluation key
   /// (spec + T + model/right/style/engine + resolved solver config).
@@ -320,6 +321,7 @@ class Pricer {
   std::uint64_t requests_ = 0;
   std::uint64_t bump_hits_ = 0;
   std::uint64_t batches_ = 0;
+  std::uint64_t spectrum_evictions_ = 0;
   /// Atomic (not mu_-guarded): updated by every fan-out thread at the end
   /// of a batch, where taking the registry mutex would serialize the join.
   std::atomic<std::size_t> scratch_high_water_{0};

@@ -33,12 +33,13 @@
 //     guesswork). One thread per connection.
 //
 // Admission control instead of unbounded queueing: `submit` consults the
-// shard's queue depth and the memory figures its `Pricer::stats()`
-// published after the last batch (total scratch-arena footprint across
-// every pool worker, spectrum-tier bytes). An item that would exceed the
-// configured ceilings completes
-// immediately with `Status::overloaded` and a retry hint in `message` —
-// the caller sheds load; the daemon never grows without bound.
+// shard's queue depth and the scratch-arena footprint (summed over every
+// pool worker's arena) the last drained batch published. An item that
+// would exceed the configured ceilings completes immediately with
+// `Status::overloaded` and a retry hint in `message` — the caller sheds
+// load; the daemon never grows without bound. Each shard's kernel caches
+// and node tables are bounded by `pricing::Pricer::kCacheBytes` and need
+// no ceiling here.
 
 #include <atomic>
 #include <chrono>
@@ -70,13 +71,12 @@ struct ServerConfig {
   std::size_t max_coalesced_items = 1024;  ///< cap on one merged batch
   /// Admission ceilings (0 = disabled). `admit_queue_depth` rejects once a
   /// shard's queue holds this many items (it additionally never exceeds
-  /// `queue_capacity`); the byte ceilings reject while the shard session's
-  /// last-published `scratch_total_bytes` (every pool worker's arena, the
-  /// true multi-thread footprint) / `spectrum_bytes` exceed them —
-  /// backpressure keyed on real memory, not guesses.
+  /// `queue_capacity`); `admit_scratch_bytes` rejects a whole `submit` call
+  /// while the arena footprint published after the last drained batch
+  /// (every pool worker's arena, the true multi-thread footprint) exceeds
+  /// it — backpressure keyed on real memory, not guesses.
   std::size_t admit_queue_depth = 0;
   std::size_t admit_scratch_bytes = 0;
-  std::size_t admit_spectrum_bytes = 0;
 };
 
 class Server {
@@ -194,6 +194,10 @@ class Server {
   void stop_impl(const std::chrono::microseconds* grace);
 
   ServerConfig cfg_;
+  /// core::aggregate_scratch() bytes, published by every drain after its
+  /// batch. The figure is process-wide, so there is one per server, read
+  /// once per submit() call.
+  std::atomic<std::size_t> scratch_bytes_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> decode_errors_{0};
   std::atomic<std::uint64_t> retries_observed_{0};

@@ -20,10 +20,11 @@
 //     R2C spectrum of taps^h at padded size n, materialized lazily on first
 //     use and keyed by (h, n). Repeated convolutions at the same recursion
 //     depth then skip the kernel transform entirely (the conv spectral
-//     overloads run 2 transforms per call instead of 3). Spectrum entries
-//     are returned as shared_ptr so an attached `SpectrumBudget` may evict
-//     them under its byte cap without invalidating in-flight convolutions;
-//     a cache with no budget attached never evicts.
+//     overloads run 2 transforms per call instead of 3).
+//
+// Nothing inside a cache is ever evicted: it grows until it dies. `bytes()`
+// reports what it holds, so an owner that keeps many caches (the Pricer's
+// session registry) bounds them as whole entries by bytes.
 
 #include <atomic>
 #include <cstdint>
@@ -45,70 +46,9 @@ class Workspace;
 
 namespace amopt::stencil {
 
-class KernelCache;
-
-/// Registry-level byte budget for the spectrum tier, shared by every cache
-/// it is attached to (the Pricer attaches one per session). Tracks the
-/// bytes of all live spectrum entries across those caches and, on
-/// overflow, evicts the least-recently-used entry — whichever cache owns
-/// it. Eviction only forgets warm state: entries are shared_ptr-held, so a
-/// convolution already consuming one finishes safely, and the next request
-/// simply re-transforms. Lock order is budget mutex -> owner-cache mutex;
-/// caches never call into the budget while holding their own lock.
-class SpectrumBudget {
- public:
-  explicit SpectrumBudget(std::size_t max_bytes) : max_bytes_(max_bytes) {}
-  SpectrumBudget(const SpectrumBudget&) = delete;
-  SpectrumBudget& operator=(const SpectrumBudget&) = delete;
-
-  struct Stats {
-    std::size_t bytes = 0;        ///< live spectrum bytes across all caches
-    std::size_t entries = 0;      ///< live spectrum entries
-    std::uint64_t evictions = 0;  ///< entries dropped to stay under the cap
-  };
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t max_bytes() const noexcept { return max_bytes_; }
-
- private:
-  friend class KernelCache;
-
-  /// Recency stamps live in shared_ptr'd atomics co-owned by the owning
-  /// cache's map entry, so a warm hit refreshes its LRU position with ONE
-  /// relaxed store — no budget mutex, no entry scan — keeping the hot
-  /// spectrum path as lock-free as the power() snapshot beside it. The
-  /// mutex guards only the entry list itself (admit / evict / forget /
-  /// stats).
-  using Tick = std::shared_ptr<std::atomic<std::uint64_t>>;
-  [[nodiscard]] std::uint64_t next_tick() noexcept {
-    return tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  /// Admit `key` of `owner` at `bytes`; evicts LRU entries of any
-  /// registered cache until the total fits the cap again.
-  void admit(KernelCache* owner, std::uint64_t key, std::size_t bytes,
-             const Tick& tick);
-  /// Drop every entry owned by `owner` (cache destruction / clear).
-  void forget(KernelCache* owner);
-
-  struct Entry {
-    KernelCache* owner;
-    std::uint64_t key;
-    std::size_t bytes;
-    Tick tick;
-  };
-
-  mutable std::mutex mu_;
-  std::size_t max_bytes_;
-  std::size_t bytes_ = 0;
-  std::atomic<std::uint64_t> tick_{0};
-  std::uint64_t evictions_ = 0;
-  std::vector<Entry> entries_;
-};
-
 class KernelCache {
  public:
-  explicit KernelCache(LinearStencil st) : stencil_(std::move(st)) {}
-  ~KernelCache();
+  explicit KernelCache(LinearStencil st);
 
   KernelCache(const KernelCache&) = delete;
   KernelCache& operator=(const KernelCache&) = delete;
@@ -123,9 +63,8 @@ class KernelCache {
 
   /// The reversed R2C spectrum of taps^h at padded transform size n (a
   /// power of two >= the full linear length of the intended correlation —
-  /// conv::correlate_fft_size of the call's dimensions). The shared_ptr
-  /// keeps the spectrum alive across a concurrent budget eviction; without
-  /// an attached budget entries live as long as the cache.
+  /// conv::correlate_fft_size of the call's dimensions). Entries live as
+  /// long as the cache.
   [[nodiscard]] std::shared_ptr<const fft::RealSpectrum> power_spectrum(
       std::uint64_t h, std::size_t n);
 
@@ -138,10 +77,13 @@ class KernelCache {
   void correlate(std::span<const double> main, std::span<const double> tail,
                  std::uint64_t h, std::span<double> out, conv::Workspace& ws);
 
-  /// Attach a registry-level spectrum budget. Must be called before the
-  /// first power_spectrum() lookup (the Pricer attaches at cache creation);
-  /// pass nullptr for unbounded (the default).
-  void set_spectrum_budget(std::shared_ptr<SpectrumBudget> budget);
+  /// Heap bytes held: the object and its taps, every power, ladder rung,
+  /// published power snapshot and spectrum. Bumped on each insert; a
+  /// relaxed read that takes no lock, so an owner can sum many caches while
+  /// they are being filled.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return bytes_.load(std::memory_order_relaxed);
+  }
 
   struct Stats {
     std::size_t powers = 0;         ///< cached time-domain heights
@@ -152,15 +94,13 @@ class KernelCache {
   [[nodiscard]] Stats stats() const;
 
  private:
-  friend class SpectrumBudget;
-
   /// taps^h, computed the way poly::power would, but with FFT-path heights
   /// drawing on the shared squaring ladder. Caller holds no lock.
   [[nodiscard]] std::vector<double> compute_power(std::uint64_t h);
 
-  /// Budget callback: drop the (h, n) entry for `key` if still present.
-  /// Called with the budget mutex held; takes only this cache's mutex.
-  void evict_spectrum(std::uint64_t key);
+  void add_bytes(std::size_t n) noexcept {
+    bytes_.fetch_add(n, std::memory_order_relaxed);
+  }
 
   LinearStencil stencil_;
   mutable std::shared_mutex mu_;
@@ -177,15 +117,10 @@ class KernelCache {
   };
   std::atomic<const PowerSnapshot*> power_snap_{nullptr};
   std::vector<std::unique_ptr<const PowerSnapshot>> retired_snaps_;
-  /// Spectra keyed by (h, log2 n) packed into one word (log2 n < 64). The
-  /// recency stamp is co-owned with the budget's entry list (see
-  /// SpectrumBudget::Tick); null when no budget is attached.
-  struct SpectrumEntry {
-    std::shared_ptr<const fft::RealSpectrum> spec;
-    SpectrumBudget::Tick tick;
-  };
-  std::unordered_map<std::uint64_t, SpectrumEntry> spectra_;
-  std::shared_ptr<SpectrumBudget> budget_;  ///< null = unbounded
+  /// Spectra keyed by (h, log2 n) packed into one word (log2 n < 64).
+  std::unordered_map<std::uint64_t, std::shared_ptr<const fft::RealSpectrum>>
+      spectra_;
+  std::atomic<std::size_t> bytes_{0};
   /// Shared repeated-squaring chain taps^(2^k) for the FFT power path; its
   /// own mutex, held only while EXTENDING the chain — the combine steps of
   /// a power build read stable rung snapshots outside it, so concurrent

@@ -1,6 +1,5 @@
 #include "amopt/metrics/energy.hpp"
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 
@@ -9,12 +8,6 @@ namespace amopt::metrics {
 namespace {
 
 namespace fs = std::filesystem;
-
-[[nodiscard]] double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 [[nodiscard]] bool read_file(const fs::path& p, std::string& out) {
   std::ifstream in(p);
@@ -58,12 +51,10 @@ EnergyMeter::EnergyMeter(EnergyModel model) : model_(model) {
 
 void EnergyMeter::start() {
   ops_start_ = snapshot();
-  wall_start_ = now_seconds();
   for (auto& d : domains_) (void)read_double(d.energy_path, d.start_uj);
 }
 
 EnergySample EnergyMeter::stop() {
-  const double dt = now_seconds() - wall_start_;
   EnergySample sample;
   if (hardware_available()) {
     sample.hardware = true;
@@ -78,10 +69,8 @@ EnergySample EnergyMeter::stop() {
   }
   const OpSnapshot ops = delta(ops_start_, snapshot());
   sample.hardware = false;
-  sample.pkg_joules = model_.joules_per_flop * static_cast<double>(ops.flops) +
-                      model_.pkg_static_watts * dt;
-  sample.ram_joules = model_.joules_per_byte * static_cast<double>(ops.bytes) +
-                      model_.ram_static_watts * dt;
+  sample.pkg_joules = model_.joules_per_flop * static_cast<double>(ops.flops);
+  sample.ram_joules = model_.joules_per_byte * static_cast<double>(ops.bytes);
   return sample;
 }
 

@@ -21,6 +21,12 @@ constexpr double kTMax = 3.0;
 
 }  // namespace
 
+std::size_t NodeTable::bytes() const noexcept {
+  return sizeof(*this) + sizeof(double) * (xhat.size() + coeff.size() +
+                                           y.size() + w.size() + sp.size() +
+                                           sm.size());
+}
+
 std::shared_ptr<const NodeTable> build_node_table(int nodes, int quad) {
   nodes = std::clamp(nodes, 3, 64);
   quad = std::clamp(quad, 3, 401);

@@ -31,14 +31,7 @@ std::string_view to_string(Status s) {
   return "?";
 }
 
-Pricer::Pricer(PricerConfig cfg) : cfg_(cfg) {
-  if (cfg_.max_kernel_caches == 0) cfg_.max_kernel_caches = 1;
-  if (cfg_.max_transient_kernel_caches == 0)
-    cfg_.max_transient_kernel_caches = 1;
-  if (cfg_.max_spectrum_bytes > 0)
-    spectrum_budget_ =
-        std::make_shared<stencil::SpectrumBudget>(cfg_.max_spectrum_bytes);
-}
+Pricer::Pricer(PricerConfig cfg) : cfg_(cfg) {}
 
 bool Pricer::supports(Model m, Right r, Style s, Engine e) noexcept {
   if (s == Style::european) {
@@ -93,63 +86,55 @@ bool Pricer::supports(Model m, Right r, Style s, Engine e,
   return true;
 }
 
-void Pricer::evict_lru(std::vector<Entry>& tier, std::size_t cap) {
-  // Evict the least-recently-used group when the tier overflows. Batches in
-  // flight hold their own shared_ptr copies, so eviction only drops warm
-  // state for FUTURE lookups — it never tears a cache out from under a
-  // running pricing.
-  if (tier.size() <= cap) return;
-  const auto victim = std::min_element(
-      tier.begin(), tier.end(),
-      [](const Entry& a, const Entry& b) { return a.last_used < b.last_used; });
-  tier.erase(victim);
+std::size_t Pricer::Entry::bytes() const {
+  return cache ? cache->bytes() : table_bytes;
+}
+
+std::size_t Pricer::Entry::charge() const {
+  return trial ? 2 * bytes() : bytes();
+}
+
+bool Pricer::Entry::in_use() const {
+  return cache ? cache.use_count() > 1 : table.use_count() > 1;
+}
+
+void Pricer::evict_to_budget() {
+  // Batches in flight hold their own shared_ptr copies, so dropping an
+  // entry they hold frees nothing and only forgets warm state; such
+  // entries are skipped, and the end-of-batch pass catches them once
+  // released. Bytes only grow, so each re-read is at least what the sum
+  // counted for that entry.
+  std::size_t total = 0;
+  for (const Entry& e : entries_) total += e.charge();
+  while (total > kCacheBytes) {
+    auto victim = entries_.end();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it)
+      if (!it->in_use() &&
+          (victim == entries_.end() || it->last_used < victim->last_used))
+        victim = it;
+    if (victim == entries_.end()) return;
+    total -= std::min(total, victim->charge());
+    if (victim->cache) spectrum_evictions_ += victim->cache->stats().spectra;
+    entries_.erase(victim);
+  }
 }
 
 Pricer::CachePtr Pricer::cache_for(const stencil::LinearStencil& st,
-                                   Tier tier) {
+                                   bool trial) {
   if (st.taps.empty()) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
-  const auto matches = [&](const Entry& e) {
-    return e.cache->stencil().taps == st.taps;
-  };
-  // Base tier first: a trial vol that happens to coincide with a chain's
-  // own tap group must refresh (and use) the pinned entry, not duplicate it.
-  for (Entry& e : base_caches_) {
-    if (matches(e)) {
+  for (Entry& e : entries_) {
+    if (e.cache && e.cache->stencil().taps == st.taps) {
       e.last_used = ++tick_;
+      e.trial = e.trial && trial;  // a request's own group is charged at par
       ++hits_;
       return e.cache;
     }
   }
-  for (auto it = transient_caches_.begin(); it != transient_caches_.end();
-       ++it) {
-    if (matches(*it)) {
-      it->last_used = ++tick_;
-      ++hits_;
-      CachePtr out = it->cache;
-      if (tier == Tier::base) {
-        // The group graduated from trial-vol churn to a request's own tap
-        // group: move it to the protected tier.
-        base_caches_.push_back(std::move(*it));
-        transient_caches_.erase(it);
-        evict_lru(base_caches_, cfg_.max_kernel_caches);
-      }
-      return out;
-    }
-  }
   ++misses_;
-  Entry entry;
-  entry.cache = std::make_shared<stencil::KernelCache>(st);
-  if (spectrum_budget_) entry.cache->set_spectrum_budget(spectrum_budget_);
-  entry.last_used = ++tick_;
-  CachePtr out = entry.cache;
-  if (tier == Tier::base) {
-    base_caches_.push_back(std::move(entry));
-    evict_lru(base_caches_, cfg_.max_kernel_caches);
-  } else {
-    transient_caches_.push_back(std::move(entry));
-    evict_lru(transient_caches_, cfg_.max_transient_kernel_caches);
-  }
+  CachePtr out = std::make_shared<stencil::KernelCache>(st);
+  entries_.push_back({out, nullptr, 0, 0, ++tick_, trial});
+  evict_to_budget();
   return out;
 }
 
@@ -212,23 +197,32 @@ double Pricer::price_cached_memo(const OptionSpec& spec,
   return p;
 }
 
-std::shared_ptr<const alo::NodeTable> Pricer::node_table_for(
-    const core::SolverConfig& cfg) {
+Pricer::TablePtr Pricer::node_table_for(const core::SolverConfig& cfg) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(
            static_cast<std::uint32_t>(std::clamp(cfg.alo_nodes, 3, 64)))
        << 32) |
       static_cast<std::uint32_t>(std::clamp(cfg.alo_quad, 3, 401));
+  const auto find = [&]() -> Entry* {
+    for (Entry& e : entries_)
+      if (e.table && e.table_key == key) {
+        e.last_used = ++tick_;
+        return &e;
+      }
+    return nullptr;
+  };
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = node_tables_.find(key);
-    if (it != node_tables_.end()) return it->second;
+    if (const Entry* e = find()) return e->table;
   }
   // Build outside the lock (pure function of the knobs: a racing duplicate
   // build is wasted work, never a wrong table).
-  auto tbl = alo::build_node_table(cfg.alo_nodes, cfg.alo_quad);
+  TablePtr tbl = alo::build_node_table(cfg.alo_nodes, cfg.alo_quad);
   std::lock_guard<std::mutex> lock(mu_);
-  return node_tables_.try_emplace(key, std::move(tbl)).first->second;
+  if (const Entry* e = find()) return e->table;
+  entries_.push_back({nullptr, tbl, key, tbl->bytes(), ++tick_, false});
+  evict_to_budget();
+  return tbl;
 }
 
 double Pricer::price_cached(const OptionSpec& spec, const PricingRequest& req,
@@ -243,12 +237,10 @@ double Pricer::price_cached(const OptionSpec& spec, const PricingRequest& req,
   stencil::KernelCache* kernels = nullptr;
   CachePtr hold;  // keeps the group alive across a concurrent LRU eviction
   if (req.engine == Engine::fft) {
-    // Bumped/trial specs land in the transient tier so recalibration churn
-    // cannot evict the chains' own (base-tier) groups.
     hold = cache_for(detail::shared_cache_stencil(spec, req.T, req.model,
                                                   req.right, req.style,
                                                   req.engine),
-                     Tier::transient);
+                     /*trial=*/true);
     kernels = hold.get();
   }
   return detail::price_with_cache(spec, req.T, req.model, req.right, req.style,
@@ -648,10 +640,10 @@ void Pricer::price_many_into(std::span<const PricingRequest> requests,
     // their groups through price_cached instead.
     if ((compute & (Compute::price | Compute::greeks)) == 0u) continue;
     try {
-      cache_of[i] = cache_for(
-          detail::shared_cache_stencil(q.spec, q.T, q.model, q.right, q.style,
-                                       q.engine),
-          Tier::base);
+      cache_of[i] = cache_for(detail::shared_cache_stencil(
+                                  q.spec, q.T, q.model, q.right, q.style,
+                                  q.engine),
+                              /*trial=*/false);
     } catch (const std::exception& e) {
       out[i].status = Status::error;
       out[i].message = e.what();
@@ -709,6 +701,11 @@ void Pricer::price_many_into(std::span<const PricingRequest> requests,
     for (std::size_t i = 0; i < requests.size(); ++i) serve(i);
     finish_thread();
   }
+  // Release the batch's holds (capacity kept), then bring the registry
+  // back within budget: what this batch grew beyond it goes now.
+  std::fill(cache_of.begin(), cache_of.end(), nullptr);
+  std::lock_guard<std::mutex> lock(mu_);
+  evict_to_budget();
 }
 
 PricingResult Pricer::price_one(const PricingRequest& request) {
@@ -739,10 +736,11 @@ std::vector<PricingResult> Pricer::implied_vol_many(
 Pricer::Stats Pricer::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s;
-  s.base_kernel_caches = base_caches_.size();
-  s.transient_kernel_caches = transient_caches_.size();
-  s.kernel_caches = s.base_kernel_caches + s.transient_kernel_caches;
-  s.node_tables = node_tables_.size();
+  for (const Entry& e : entries_) {
+    ++(e.cache ? s.kernel_caches : s.node_tables);
+    s.cache_bytes += e.bytes();
+  }
+  s.spectrum_evictions = spectrum_evictions_;
   s.cache_hits = hits_;
   s.cache_misses = misses_;
   s.requests = requests_;
@@ -754,23 +752,16 @@ Pricer::Stats Pricer::stats() const {
       scratch_high_water_.load(std::memory_order_relaxed);
   s.scratch_trim_events = trim_events_.load(std::memory_order_relaxed);
   s.scratch_total_bytes = core::aggregate_scratch().total_bytes;
-  if (spectrum_budget_) {
-    const stencil::SpectrumBudget::Stats b = spectrum_budget_->stats();
-    s.spectrum_bytes = b.bytes;
-    s.spectrum_entries = b.entries;
-    s.spectrum_evictions = b.evictions;
-  }
   return s;
 }
 
 void Pricer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  base_caches_.clear();
-  transient_caches_.clear();
-  node_tables_.clear();
+  entries_.clear();
   warm_roots_.clear();
   bump_prices_.clear();
   tick_ = hits_ = misses_ = requests_ = bump_hits_ = batches_ = 0;
+  spectrum_evictions_ = 0;
   scratch_high_water_.store(0, std::memory_order_relaxed);
   trim_events_.store(0, std::memory_order_relaxed);
 }

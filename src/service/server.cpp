@@ -9,6 +9,7 @@
 #include <string_view>
 #include <thread>
 
+#include "amopt/core/scratch.hpp"
 #include "amopt/core/task_pool.hpp"
 #include "amopt/service/wire.hpp"
 
@@ -30,8 +31,6 @@ constexpr std::string_view kShedQueueFull =
     "overloaded: shard queue full; retry after a backoff";
 constexpr std::string_view kShedScratch =
     "overloaded: shard scratch footprint over ceiling; retry after a backoff";
-constexpr std::string_view kShedSpectrum =
-    "overloaded: shard spectrum bytes over ceiling; retry after a backoff";
 constexpr std::string_view kShedDrain =
     "overloaded: server draining; retry against another instance";
 constexpr std::string_view kShedDeadline =
@@ -65,8 +64,9 @@ struct Server::Shard {
         std::chrono::steady_clock::time_point::max();
   };
 
-  explicit Shard(const ServerConfig& c)
-      : pricer(c.pricer), cfg(&c), ring(c.queue_capacity) {
+  Shard(const ServerConfig& c, std::atomic<std::size_t>& scratch)
+      : pricer(c.pricer), cfg(&c), scratch_bytes(&scratch),
+        ring(c.queue_capacity) {
     drain_task.fn = &drain_entry;
     drain_task.arg = this;
     drain_task.join = nullptr;
@@ -74,6 +74,8 @@ struct Server::Shard {
 
   pricing::Pricer pricer;
   const ServerConfig* cfg;  ///< the owning Server's config (stable address)
+  /// The owning Server's published arena footprint (Server::scratch_bytes_).
+  std::atomic<std::size_t>* scratch_bytes;
 
   // Queue state, under `m`. `cv` wakes a lingering drain ("item arrived"
   // or "stopping") — submitters never wait, they reject instead. `armed`
@@ -100,12 +102,7 @@ struct Server::Shard {
   std::vector<PricingResult> results;
   pricing::Pricer::BatchScratch scratch;
 
-  // Published after every batch for lock-free admission checks and stats.
-  // `scratch_bytes` is the process-wide arena footprint (the sum over
-  // every pool worker's arena), not one thread's high-water mark — with
-  // pooled execution that is the figure admission must compare against.
-  std::atomic<std::size_t> scratch_bytes{0};
-  std::atomic<std::size_t> spectrum_bytes{0};
+  // Published after every batch for lock-free stats.
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> rejected{0};
   std::atomic<std::uint64_t> served{0};
@@ -179,9 +176,8 @@ struct Server::Shard {
       // so a caller that waits on its batch and then submits again is
       // admitted against figures at least as fresh as its own work.
       if (!batch.empty()) {
-        const pricing::Pricer::Stats st = pricer.stats();
-        scratch_bytes.store(st.scratch_total_bytes, std::memory_order_relaxed);
-        spectrum_bytes.store(st.spectrum_bytes, std::memory_order_relaxed);
+        scratch_bytes->store(core::aggregate_scratch().total_bytes,
+                             std::memory_order_relaxed);
         served.fetch_add(batch.size(), std::memory_order_relaxed);
         batches.fetch_add(1, std::memory_order_relaxed);
       }
@@ -214,7 +210,7 @@ Server::Server(ServerConfig cfg) : cfg_(cfg) {
   if (cfg_.max_coalesced_items == 0) cfg_.max_coalesced_items = 1;
   shards_.reserve(cfg_.shards);
   for (std::size_t i = 0; i < cfg_.shards; ++i)
-    shards_.push_back(std::make_unique<Shard>(cfg_));
+    shards_.push_back(std::make_unique<Shard>(cfg_, scratch_bytes_));
 }
 
 Server::~Server() { stop(); }
@@ -298,6 +294,12 @@ void Server::submit(std::span<const PricingRequest> requests,
     std::lock_guard<std::mutex> lock(done.m_);
     done.pending_ += requests.size();
   }
+  // One admission snapshot per call: the drain this loop arms may publish
+  // a fresh footprint while later items are still being admitted, and one
+  // call is admitted against one figure.
+  const bool scratch_over =
+      cfg_.admit_scratch_bytes != 0 &&
+      scratch_bytes_.load(std::memory_order_relaxed) > cfg_.admit_scratch_bytes;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     Shard& s = *shards_[shard_of(requests[i])];
     const std::size_t depth_cap =
@@ -314,14 +316,8 @@ void Server::submit(std::span<const PricingRequest> requests,
         why = kShedStopping;
       } else if (s.size >= depth_cap) {
         why = kShedQueueFull;
-      } else if (cfg_.admit_scratch_bytes != 0 &&
-                 s.scratch_bytes.load(std::memory_order_relaxed) >
-                     cfg_.admit_scratch_bytes) {
+      } else if (scratch_over) {
         why = kShedScratch;
-      } else if (cfg_.admit_spectrum_bytes != 0 &&
-                 s.spectrum_bytes.load(std::memory_order_relaxed) >
-                     cfg_.admit_spectrum_bytes) {
-        why = kShedSpectrum;
       } else {
         std::size_t tail = s.head + s.size;
         if (tail >= s.ring.size()) tail -= s.ring.size();

@@ -26,62 +26,8 @@ namespace {
 
 }  // namespace
 
-// ------------------------------------------------------------ SpectrumBudget
-
-void SpectrumBudget::admit(KernelCache* owner, std::uint64_t key,
-                           std::size_t bytes, const Tick& tick) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Entry& e : entries_) {
-    if (e.owner == owner && e.key == key) return;  // lost an insert race
-  }
-  entries_.push_back({owner, key, bytes, tick});
-  bytes_ += bytes;
-  while (bytes_ > max_bytes_ && entries_.size() > 1) {
-    const auto victim = std::min_element(
-        entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
-          return a.tick->load(std::memory_order_relaxed) <
-                 b.tick->load(std::memory_order_relaxed);
-        });
-    // Never evict what we just admitted — the caller is about to use it.
-    if (victim->owner == owner && victim->key == key) break;
-    victim->owner->evict_spectrum(victim->key);
-    bytes_ -= victim->bytes;
-    ++evictions_;
-    entries_.erase(victim);
-  }
-}
-
-void SpectrumBudget::forget(KernelCache* owner) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::erase_if(entries_, [&](const Entry& e) {
-    if (e.owner != owner) return false;
-    bytes_ -= e.bytes;
-    return true;
-  });
-}
-
-SpectrumBudget::Stats SpectrumBudget::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats s;
-  s.bytes = bytes_;
-  s.entries = entries_.size();
-  s.evictions = evictions_;
-  return s;
-}
-
-// --------------------------------------------------------------- KernelCache
-
-KernelCache::~KernelCache() {
-  // Unregister before the spectra die. forget() serializes with any
-  // in-flight eviction pass (budget mutex), so no evictor can reach this
-  // cache afterwards.
-  if (budget_) budget_->forget(this);
-}
-
-void KernelCache::set_spectrum_budget(std::shared_ptr<SpectrumBudget> budget) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  AMOPT_EXPECTS(spectra_.empty());  // attach before the first lookup
-  budget_ = std::move(budget);
+KernelCache::KernelCache(LinearStencil st) : stencil_(std::move(st)) {
+  add_bytes(sizeof(KernelCache) + stencil_.taps.size() * sizeof(double));
 }
 
 std::vector<double> KernelCache::compute_power(std::uint64_t h) {
@@ -104,7 +50,10 @@ std::vector<double> KernelCache::compute_power(std::uint64_t h) {
   rungs.reserve(kmax + 1);
   {
     std::lock_guard<std::mutex> lock(ladder_mu_);
+    const std::size_t had = ladder_.size();
     poly::extend_ladder(taps, h, ladder_, conv::thread_workspace());
+    for (std::size_t k = had; k < ladder_.size(); ++k)
+      add_bytes(ladder_[k].size() * sizeof(double));
     for (std::size_t k = 0; k <= kmax; ++k) rungs.emplace_back(ladder_[k]);
   }
   return poly::power_from_rungs(h, rungs, conv::thread_workspace());
@@ -133,6 +82,8 @@ std::span<const double> KernelCache::power(std::uint64_t h) {
   auto kernel = std::make_unique<std::vector<double>>(compute_power(h));
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto [it, inserted] = cache_.emplace(h, std::move(kernel));
+  if (inserted)
+    add_bytes(sizeof(*it->second) + it->second->size() * sizeof(double));
   // Publish a fresh snapshot; the old one is retired, not freed, because a
   // concurrent reader may still be walking it.
   auto snap = std::make_unique<PowerSnapshot>();
@@ -140,6 +91,8 @@ std::span<const double> KernelCache::power(std::uint64_t h) {
   for (const auto& [hk, vec] : cache_) snap->entries.emplace_back(hk, vec.get());
   std::sort(snap->entries.begin(), snap->entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  add_bytes(sizeof(PowerSnapshot) +
+            snap->entries.size() * sizeof(snap->entries[0]));
   const PowerSnapshot* published = snap.get();
   retired_snaps_.push_back(std::move(snap));
   power_snap_.store(published, std::memory_order_release);
@@ -153,35 +106,18 @@ std::shared_ptr<const fft::RealSpectrum> KernelCache::power_spectrum(
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     auto it = spectra_.find(key);
-    if (it != spectra_.end()) {
-      // Refresh the LRU stamp with one relaxed store — the hot warm path
-      // never touches the budget mutex.
-      if (it->second.tick)
-        it->second.tick->store(budget_->next_tick(),
-                               std::memory_order_relaxed);
-      return it->second.spec;
-    }
+    if (it != spectra_.end()) return it->second;
   }
   // Materialize outside the lock: time-domain taps first (warm after the
   // first call at this height), then one reversed R2C transform at n.
   const std::span<const double> taps_h = power(h);
   auto spec = std::make_shared<fft::RealSpectrum>(conv::kernel_spectrum(
       taps_h, n, /*reversed=*/true, conv::thread_workspace()));
-  SpectrumEntry entry{std::move(spec), nullptr};
-  if (budget_) {
-    entry.tick = std::make_shared<std::atomic<std::uint64_t>>(
-        budget_->next_tick());
-  }
-  std::shared_ptr<const fft::RealSpectrum> out;
-  SpectrumBudget::Tick tick;
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    auto [it, inserted] = spectra_.emplace(key, std::move(entry));
-    out = it->second.spec;
-    tick = it->second.tick;
-  }
-  if (budget_ && tick) budget_->admit(this, key, spectrum_bytes_of(*out), tick);
-  return out;
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto [it, inserted] = spectra_.emplace(key, std::move(spec));
+  if (inserted)
+    add_bytes(sizeof(fft::RealSpectrum) + spectrum_bytes_of(*it->second));
+  return it->second;
 }
 
 void KernelCache::correlate(std::span<const double> main,
@@ -203,19 +139,14 @@ void KernelCache::correlate(std::span<const double> main,
   conv::correlate_valid(main, tail, power(h), out, ws);
 }
 
-void KernelCache::evict_spectrum(std::uint64_t key) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  spectra_.erase(key);  // shared_ptr keeps in-flight consumers alive
-}
-
 KernelCache::Stats KernelCache::stats() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::lock_guard<std::mutex> ladder_lock(ladder_mu_);
   Stats s;
   s.powers = cache_.size();
   s.spectra = spectra_.size();
-  for (const auto& [key, entry] : spectra_)
-    s.spectrum_bytes += spectrum_bytes_of(*entry.spec);
+  for (const auto& [key, spec] : spectra_)
+    s.spectrum_bytes += spectrum_bytes_of(*spec);
   s.ladder_rungs = ladder_.size();
   return s;
 }

@@ -54,11 +54,11 @@ TEST(EnergyModel, ModeledEnergyTracksCountedWork) {
   if (meter.hardware_available()) GTEST_SKIP() << "hardware RAPL active";
   reset_counters();
   meter.start();
-  add_flops(1'000'000'000);  // 1 Gflop at 0.5 nJ => 0.5 J (plus static*dt)
+  add_flops(1'000'000'000);  // 1 Gflop at 0.5 nJ => 0.5 J
   const EnergySample s = meter.stop();
   EXPECT_FALSE(s.hardware);
   EXPECT_GT(s.pkg_joules, 0.45);
-  EXPECT_LT(s.pkg_joules, 1.5);  // static term over microseconds is tiny
+  EXPECT_LT(s.pkg_joules, 1.5);
 }
 
 TEST(EnergyModel, RamTermTracksBytes) {

@@ -664,27 +664,32 @@ TEST(Pricer, GreeksUnsupportedOutsideBopmAmericanFft) {
 }
 
 TEST(Pricer, LruEvictionKeepsResultsCorrect) {
-  // Five expiry groups through a registry capped at two: groups rotate out
-  // and are rebuilt, results never change.
-  PricerConfig cfg;
-  cfg.max_kernel_caches = 2;
-  Pricer session(cfg);
+  // Five expiry groups at T = 16384 (~1 MB of kernels each) overflow the
+  // session's byte budget: the least-recently-used groups rotate out and
+  // are rebuilt next round, and results never change.
+  Pricer session;
   std::vector<PricingRequest> reqs;
   for (double e : {0.25, 0.5, 1.0, 1.5, 2.0}) {
     PricingRequest q;
     q.spec = paper_spec();
     q.spec.expiry_years = e;
-    q.T = 256;
+    q.T = 16384;
     reqs.push_back(q);
   }
+  std::uint64_t misses = 0;
   for (int round = 0; round < 2; ++round) {
     const std::vector<PricingResult> res = session.price_many(reqs);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       ASSERT_EQ(res[i].status, Status::ok);
-      EXPECT_EQ(res[i].price, bopm::american_call_fft(reqs[i].spec, 256));
+      EXPECT_EQ(res[i].price, bopm::american_call_fft(reqs[i].spec, 16384));
     }
+    const Pricer::Stats st = session.stats();
+    EXPECT_LE(st.cache_bytes, Pricer::kCacheBytes) << "round " << round;
+    EXPECT_GT(st.cache_misses, misses) << "round " << round;  // rebuilt
+    misses = st.cache_misses;
   }
-  EXPECT_LE(session.stats().kernel_caches, 2u);
+  EXPECT_LT(session.stats().kernel_caches, reqs.size());
+  EXPECT_GT(session.stats().spectrum_evictions, 0u);
 }
 
 TEST(Pricer, PerRequestSolverOverride) {
@@ -714,13 +719,11 @@ TEST(Pricer, EmptyBatchAndClear) {
   EXPECT_EQ(st.requests, 0u);
 }
 
-TEST(Pricer, TransientFloodCannotEvictBaseGroups) {
-  // A chain's own tap groups live in the base tier; implied-vol trial
-  // evaluations mint transient groups in their own (smaller) LRU. Flooding
-  // the session with trial vols must leave every base group warm.
+TEST(Pricer, TrialVolFloodWithinBudgetKeepsChainGroupsWarm) {
+  // Implied-vol trial evaluations mint a tap group per trial vol. At
+  // T = 256 (a few KB per group) the whole flood fits the byte budget, so
+  // it must leave every one of the chain's own groups warm.
   PricerConfig cfg;
-  cfg.max_kernel_caches = 8;
-  cfg.max_transient_kernel_caches = 2;
   cfg.warm_start_iv = false;  // every tick replays the full cold Newton
   Pricer session(cfg);
 
@@ -735,7 +738,7 @@ TEST(Pricer, TransientFloodCannotEvictBaseGroups) {
   const std::vector<PricingResult> priced = session.price_many(chain);
   for (const PricingResult& r : priced) ASSERT_EQ(r.status, Status::ok);
   const Pricer::Stats warm = session.stats();
-  EXPECT_EQ(warm.base_kernel_caches, 3u);
+  EXPECT_EQ(warm.kernel_caches, 3u);
 
   // Flood: inversions evaluate ~a dozen distinct trial vols each, every one
   // a distinct tap group.
@@ -746,11 +749,11 @@ TEST(Pricer, TransientFloodCannotEvictBaseGroups) {
     ASSERT_TRUE(r.implied_vol.converged);
 
   const Pricer::Stats flooded = session.stats();
-  EXPECT_EQ(flooded.base_kernel_caches, 3u);  // base tier untouched
-  EXPECT_LE(flooded.transient_kernel_caches,
-            cfg.max_transient_kernel_caches);
+  EXPECT_GT(flooded.kernel_caches, warm.kernel_caches);  // trials kept too
+  EXPECT_LE(flooded.cache_bytes, Pricer::kCacheBytes);
+  EXPECT_EQ(flooded.spectrum_evictions, 0u);
 
-  // Repricing the chain hits every base group: zero new misses.
+  // Repricing the chain hits every one of its groups: zero new misses.
   const std::uint64_t misses_before = flooded.cache_misses;
   const std::vector<PricingResult> again = session.price_many(chain);
   for (std::size_t i = 0; i < chain.size(); ++i)
@@ -758,13 +761,35 @@ TEST(Pricer, TransientFloodCannotEvictBaseGroups) {
   EXPECT_EQ(session.stats().cache_misses, misses_before);
 }
 
-TEST(Pricer, TransientGroupPromotedWhenRequestedAsBase) {
-  // The converged root vol was evaluated by the inversion, so its tap group
-  // sits in the transient tier; a subsequent request QUOTED at that vol
-  // must promote the group (hit, not rebuild) into the base tier.
+TEST(Pricer, TrialVolGroupsHoldAtMostHalfTheBudget) {
+  // A cold refit at T = 4096 mints ~a dozen trial-vol groups per item
+  // (~0.25 MB each), far more than the budget. Trial groups count double,
+  // so the flood alone leaves at most half the budget behind.
   PricerConfig cfg;
-  cfg.max_kernel_caches = 8;
-  cfg.max_transient_kernel_caches = 32;  // hold every trial of one Newton
+  cfg.warm_start_iv = false;
+  Pricer session(cfg);
+  std::vector<PricingRequest> quotes;
+  for (double k : {90.0, 100.0, 110.0}) {
+    PricingRequest q;
+    q.spec = paper_spec();
+    q.spec.K = k;
+    q.T = 4096;
+    q.target_price = bopm::american_call_fft(q.spec, q.T) * 1.02;
+    quotes.push_back(q);
+  }
+  for (const PricingResult& r : session.implied_vol_many(quotes))
+    ASSERT_TRUE(r.implied_vol.converged);
+  const Pricer::Stats st = session.stats();
+  EXPECT_GT(st.kernel_caches, 0u);
+  EXPECT_GT(st.spectrum_evictions, 0u);  // the flood did overflow
+  EXPECT_LE(st.cache_bytes, Pricer::kCacheBytes / 2);
+}
+
+TEST(Pricer, TrialVolGroupServesLaterRequestAtRoot) {
+  // The converged root vol was evaluated by the inversion, so its tap group
+  // is in the registry; a subsequent request QUOTED at that vol must hit
+  // it, not rebuild it.
+  PricerConfig cfg;
   cfg.warm_start_iv = false;
   Pricer session(cfg);
 
@@ -779,16 +804,14 @@ TEST(Pricer, TransientGroupPromotedWhenRequestedAsBase) {
       session.implied_vol_many({&quote, 1}).front();
   ASSERT_TRUE(inverted.implied_vol.converged);
   const Pricer::Stats after_iv = session.stats();
-  ASSERT_GE(after_iv.transient_kernel_caches, 1u);
+  ASSERT_GE(after_iv.kernel_caches, 2u);
 
   PricingRequest at_root = q;
   at_root.spec.V = inverted.implied_vol.vol;
   ASSERT_EQ(session.price_one(at_root).status, Status::ok);
-  const Pricer::Stats promoted = session.stats();
-  EXPECT_EQ(promoted.cache_misses, after_iv.cache_misses);  // promoted: hit
-  EXPECT_EQ(promoted.base_kernel_caches, after_iv.base_kernel_caches + 1);
-  EXPECT_EQ(promoted.transient_kernel_caches,
-            after_iv.transient_kernel_caches - 1);
+  const Pricer::Stats at = session.stats();
+  EXPECT_EQ(at.cache_misses, after_iv.cache_misses);  // a hit
+  EXPECT_EQ(at.kernel_caches, after_iv.kernel_caches);
 }
 
 TEST(Pricer, CrossExpirySharingCollapsesToOneTapGroup) {
@@ -810,14 +833,14 @@ TEST(Pricer, CrossExpirySharingCollapsesToOneTapGroup) {
   Pricer plain;
   const std::vector<PricingResult> off = plain.price_many(chain);
   for (const PricingResult& r : off) ASSERT_EQ(r.status, Status::ok);
-  EXPECT_EQ(plain.stats().base_kernel_caches, 5u);
+  EXPECT_EQ(plain.stats().kernel_caches, 5u);
 
   PricerConfig cfg;
   cfg.share_kernels_across_expiries = true;
   Pricer sharing(cfg);
   const std::vector<PricingResult> on = sharing.price_many(chain);
   for (const PricingResult& r : on) ASSERT_EQ(r.status, Status::ok);
-  EXPECT_EQ(sharing.stats().base_kernel_caches, 1u);
+  EXPECT_EQ(sharing.stats().kernel_caches, 1u);
 
   // Normalization refines T (never coarsens), so the shared prices sit
   // within the coarser leg's own O(1/T) discretization error band of the
@@ -847,7 +870,7 @@ TEST(Pricer, CrossExpirySharingOffByDefault) {
   ASSERT_EQ(res[0].status, Status::ok);
   ASSERT_EQ(res[1].status, Status::ok);
   EXPECT_EQ(res[1].price, Pricer(PricerConfig{}).price_one(mix[1]).price);
-  EXPECT_EQ(session.stats().base_kernel_caches, 2u);  // no forced share
+  EXPECT_EQ(session.stats().kernel_caches, 2u);  // no forced share
 }
 
 // ---- quantized sharing (PricerConfig::share_quantum) --------------------
@@ -893,7 +916,7 @@ TEST(Pricer, ShareQuantumZeroReproducesExactGroupingBitIdentically) {
     ASSERT_EQ(on[i].status, Status::ok);
     EXPECT_EQ(on[i].price, off[i].price) << "leg " << i;
   }
-  EXPECT_EQ(sharing.stats().base_kernel_caches, 5u);  // no quantized merge
+  EXPECT_EQ(sharing.stats().kernel_caches, 5u);  // no quantized merge
 }
 
 TEST(Pricer, ShareQuantumLegsStraddlingBucketBoundaryNeverShare) {
@@ -914,7 +937,7 @@ TEST(Pricer, ShareQuantumLegsStraddlingBucketBoundaryNeverShare) {
   Pricer session(cfg);
   const auto res = session.price_many(drifting_vol_chain({v_below, v_above}));
   for (const auto& r : res) ASSERT_EQ(r.status, Status::ok);
-  EXPECT_EQ(session.stats().base_kernel_caches, 2u);
+  EXPECT_EQ(session.stats().kernel_caches, 2u);
 }
 
 TEST(Pricer, ShareQuantumCollapsesDriftingVolChainToOneGroup) {
@@ -936,14 +959,14 @@ TEST(Pricer, ShareQuantumCollapsesDriftingVolChainToOneGroup) {
   const std::vector<PricingRequest> chain = drifting_vol_chain(vols);
   Pricer plain;
   const auto off = plain.price_many(chain);
-  EXPECT_EQ(plain.stats().base_kernel_caches, 5u);
+  EXPECT_EQ(plain.stats().kernel_caches, 5u);
 
   PricerConfig cfg;
   cfg.share_kernels_across_expiries = true;
   cfg.share_quantum = quantum;
   Pricer sharing(cfg);
   const auto on = sharing.price_many(chain);
-  EXPECT_EQ(sharing.stats().base_kernel_caches, 1u);
+  EXPECT_EQ(sharing.stats().kernel_caches, 1u);
   for (std::size_t i = 0; i < chain.size(); ++i) {
     ASSERT_EQ(on[i].status, Status::ok);
     // Contract bound: the vol snap moves prices first-order by
@@ -1018,40 +1041,78 @@ TEST(Pricer, GreeksWarmStartReplaysBumpedLegsExactly) {
   }
 }
 
-TEST(Pricer, SpectrumBudgetCapsRegistryBytes) {
-  // A deliberately tiny spectrum budget: pricing a mixed-T batch on the fft
-  // engine materializes more spectra than the cap holds, so the registry
-  // must evict (stats expose it) while every price stays correct — eviction
-  // only forgets warm state.
-  PricerConfig tiny;
-  // Holds a handful of spectra, comfortably above the largest single entry
-  // these T produce (~32 KiB at overlap-save minimal padding) but far below
-  // their total footprint.
-  tiny.max_spectrum_bytes = 100 << 10;
-  Pricer session(tiny);
-  std::vector<PricingRequest> reqs;
-  for (const std::int64_t T : {1024LL, 2048LL, 3000LL}) {
-    PricingRequest q;
-    q.spec = paper_spec();
-    q.T = T;
-    reqs.push_back(q);
-  }
-  const auto out = session.price_many(reqs);
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
+TEST(Pricer, CacheBytesBoundTheRegistry) {
+  // A mixed-T batch whose kernel caches (~1-2.3 MB each) outgrow the byte
+  // budget: the batch returns within budget, evicted spectra are counted,
+  // and every price stays correct — eviction only forgets warm state.
+  const auto batch = [](std::initializer_list<std::int64_t> ts) {
+    std::vector<PricingRequest> reqs;
+    for (const std::int64_t T : ts) {
+      PricingRequest q;
+      q.spec = paper_spec();
+      q.T = T;
+      reqs.push_back(q);
+    }
+    return reqs;
+  };
+  const std::vector<PricingRequest> big = batch({16384, 24000, 32768});
+  Pricer session;
+  const auto out = session.price_many(big);
+  for (std::size_t i = 0; i < big.size(); ++i) {
     ASSERT_EQ(out[i].status, Status::ok) << out[i].message;
-    const double want = bopm::american_call_fft(reqs[i].spec, reqs[i].T);
+    const double want = bopm::american_call_fft(big[i].spec, big[i].T);
     EXPECT_EQ(out[i].price, want) << "item " << i;
   }
   const Pricer::Stats st = session.stats();
-  EXPECT_LE(st.spectrum_bytes, tiny.max_spectrum_bytes);
+  EXPECT_LE(st.cache_bytes, Pricer::kCacheBytes);
+  EXPECT_LT(st.kernel_caches, big.size());
   EXPECT_GT(st.spectrum_evictions, 0u);
 
-  // Unbounded sessions never evict and report their footprint.
-  PricerConfig unbounded;
-  unbounded.max_spectrum_bytes = 0;
-  Pricer big(unbounded);
-  (void)big.price_many(reqs);
-  EXPECT_EQ(big.stats().spectrum_evictions, 0u);
+  // A batch that fits keeps every group and evicts nothing.
+  Pricer fits;
+  const std::vector<PricingRequest> small = batch({1024, 2048, 3000});
+  (void)fits.price_many(small);
+  EXPECT_EQ(fits.stats().kernel_caches, small.size());
+  EXPECT_GT(fits.stats().cache_bytes, 0u);
+  EXPECT_EQ(fits.stats().spectrum_evictions, 0u);
+}
+
+TEST(Pricer, KeyChurnStaysWithinCacheBytes) {
+  // Two key spaces churned together: fresh-vol T = 2^14 tap groups (~1 MB
+  // each) and 500 distinct boundary-engine (alo_nodes, alo_quad) settings,
+  // each minting a node table. The registry stays within the byte budget
+  // after every call, and a setting whose table was evicted re-prices to
+  // the same bits.
+  Pricer session;
+  PricingRequest lattice;
+  lattice.spec = paper_spec();
+  lattice.T = 16384;
+  PricingRequest quote;
+  quote.spec = paper_spec();
+  quote.model = Model::bsm;
+  quote.right = Right::put;
+  quote.engine = Engine::boundary;
+  core::SolverConfig sc;
+  sc.alo_iterations = 1;
+  double first = 0.0;
+  for (int k = 0; k < 500; ++k) {
+    sc.alo_nodes = 3 + k % 62;
+    sc.alo_quad = 3 + 48 * (k / 62) + k % 2;
+    quote.solver = sc;
+    const PricingResult r = session.price_one(quote);
+    ASSERT_EQ(r.status, Status::ok) << r.message;
+    if (k == 0) first = r.price;
+    if (k % 50 == 0) {
+      lattice.spec.V = 0.2 + 0.001 * k;
+      ASSERT_EQ(session.price_one(lattice).status, Status::ok);
+    }
+    ASSERT_LE(session.stats().cache_bytes, Pricer::kCacheBytes) << "call " << k;
+  }
+  EXPECT_LT(session.stats().node_tables, 500u);
+  sc.alo_nodes = 3;
+  sc.alo_quad = 3;
+  quote.solver = sc;
+  EXPECT_EQ(session.price_one(quote).price, first);
 }
 
 TEST(Pricer, StatusToString) {

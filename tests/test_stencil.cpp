@@ -169,54 +169,25 @@ TEST(KernelCache, SpectralCorrelationMatchesTimeDomain) {
     ASSERT_EQ(got[i], want[i]) << "i=" << i;  // same bits, not just close
 }
 
-TEST(SpectrumBudget, CapsBytesWithLruEvictionAcrossCaches) {
-  // Two caches share one registry-level budget sized for roughly two
-  // spectra at n = 256 (a 129-bin spectrum is 2064 bytes): inserting a
-  // third evicts the least-recently-used entry, whichever cache owns it.
+TEST(KernelCache, BytesCountEveryInsert) {
+  // bytes() is what a session's byte budget sums: it must grow with every
+  // power, rung and spectrum a cache inserts, cover at least the payloads
+  // stats() reports, and not move on warm lookups.
   const std::vector<double> taps{0.2, 0.5, 0.29};
-  auto budget = std::make_shared<stencil::SpectrumBudget>(2 * 2064);
-  stencil::KernelCache a({taps}), b({taps});
-  a.set_spectrum_budget(budget);
-  b.set_spectrum_budget(budget);
-
-  const auto s1 = a.power_spectrum(8, 256);
-  const auto s2 = b.power_spectrum(8, 256);
-  EXPECT_EQ(budget->stats().entries, 2u);
-  EXPECT_LE(budget->stats().bytes, budget->max_bytes());
-  // Touch a's entry so b's becomes the LRU victim of the next insert.
-  (void)a.power_spectrum(8, 256);
-  const auto s3 = a.power_spectrum(16, 256);
-  const auto st = budget->stats();
-  EXPECT_EQ(st.entries, 2u);
-  EXPECT_EQ(st.evictions, 1u);
-  EXPECT_LE(st.bytes, budget->max_bytes());
-  EXPECT_EQ(a.stats().spectra, 2u);  // both survivors live in cache a
-  EXPECT_EQ(b.stats().spectra, 0u);  // b's entry was the victim
-  // The evicted shared_ptr is still safe to use (in-flight consumers).
-  EXPECT_EQ(s2->n, 256u);
-  EXPECT_FALSE(s2->bins.empty());
-
-  // Re-requesting the evicted entry rebuilds the identical bits.
-  const auto s2b = b.power_spectrum(8, 256);
-  ASSERT_EQ(s2b->bins.size(), s2->bins.size());
-  for (std::size_t i = 0; i < s2->bins.size(); ++i)
-    ASSERT_EQ(s2b->bins[i], s2->bins[i]) << "bin " << i;
-  (void)s1;
-  (void)s3;
-}
-
-TEST(SpectrumBudget, DyingCacheUnregistersItsEntries) {
-  const std::vector<double> taps{0.2, 0.5, 0.29};
-  auto budget = std::make_shared<stencil::SpectrumBudget>(1u << 20);
-  {
-    stencil::KernelCache c({taps});
-    c.set_spectrum_budget(budget);
-    (void)c.power_spectrum(8, 256);
-    (void)c.power_spectrum(16, 512);
-    EXPECT_EQ(budget->stats().entries, 2u);
-  }
-  EXPECT_EQ(budget->stats().entries, 0u);
-  EXPECT_EQ(budget->stats().bytes, 0u);
+  stencil::KernelCache cache({taps});
+  const std::size_t empty = cache.bytes();
+  EXPECT_GT(empty, 0u);
+  const std::size_t klen = cache.power(64).size();
+  const std::size_t with_power = cache.bytes();
+  EXPECT_GE(with_power, empty + klen * sizeof(double));
+  (void)cache.power_spectrum(64, 512);
+  const std::size_t with_spectrum = cache.bytes();
+  const stencil::KernelCache::Stats st = cache.stats();
+  EXPECT_GE(with_spectrum, with_power + st.spectrum_bytes);
+  EXPECT_GE(st.ladder_rungs, 7u);  // taps^1 .. taps^64
+  (void)cache.power(64);
+  (void)cache.power_spectrum(64, 512);
+  EXPECT_EQ(cache.bytes(), with_spectrum);
 }
 
 TEST(LinearStencil, NaiveApplyShrinksCorrectly) {
