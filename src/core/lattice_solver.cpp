@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "amopt/common/assert.hpp"
 #include "amopt/core/task_pool.hpp"
@@ -270,9 +271,10 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
   if (L <= cfg_.base_case || q0 - jL + 1 <= kMinWindowForRecursion)
     return solve_base(i0, jL, q0, L, in, out);
 
-  const std::int64_t h = (L + 1) / 2;
-  const std::int64_t h2 = L - h;
-  AMOPT_ENSURES(h >= 1 && h2 >= 1);
+  // descend() hands down powers of two, so both halves are the rung
+  // L/2 = 2^(k-1): every correlation below is against a cached rung.
+  AMOPT_EXPECTS(std::has_single_bit(static_cast<std::uint64_t>(L)));
+  const std::int64_t h = L / 2;
 
   // Last provably-convolvable column at depth d below a row with boundary
   // q: every cell of the cone must stay red while the boundary shrinks.
@@ -341,7 +343,7 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
 
   // ---- second half: row i0 - h -> row i0 - L ---------------------------
   const std::int64_t im = i0 - h;
-  const std::int64_t jC2 = conv_safe(q_mid, h2);
+  const std::int64_t jC2 = conv_safe(q_mid, h);
   const std::span<const double> mid_in(
       mid.data(),
       static_cast<std::size_t>(std::max<std::int64_t>(q_mid - jL + 1, 0)));
@@ -349,15 +351,15 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
     const std::span<const double> tail = green_tail(im, q_mid, tail2_buf);
 
     std::int64_t q_strip = jL - 1;
-    const bool spawn = cfg_.parallel && h2 >= kTaskCutoff;
+    const bool spawn = cfg_.parallel && h >= kTaskCutoff;
     const auto conv_part = [&] {
       kernels_->correlate(
-          mid_in, tail, static_cast<std::uint64_t>(h2),
+          mid_in, tail, static_cast<std::uint64_t>(h),
           out.subspan(0, static_cast<std::size_t>(jC2 - jL + 1)),
           conv::thread_workspace());
     };
     const auto strip_part = [&] {
-      q_strip = solve(im, jC2 + 1, q_mid, h2,
+      q_strip = solve(im, jC2 + 1, q_mid, h,
                       mid_in.subspan(static_cast<std::size_t>(jC2 + 1 - jL)),
                       out.subspan(static_cast<std::size_t>(jC2 + 1 - jL)));
     };
@@ -369,7 +371,7 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
     }
     return std::max(q_strip, jC2);
   }
-  return solve(im, jL, q_mid, h2, mid_in, out);
+  return solve(im, jL, q_mid, h, mid_in, out);
 }
 
 LatticeRow LatticeSolver::descend(LatticeRow top, std::int64_t i_stop) {
@@ -387,12 +389,18 @@ LatticeRow LatticeSolver::descend(LatticeRow top, std::int64_t i_stop) {
       break;
     }
     const std::int64_t L_red = std::max<std::int64_t>((row.q + 1) / g_, 1);
-    const std::int64_t L = std::min(L_red, row.i - i_stop);
+    std::int64_t L = std::min(L_red, row.i - i_stop);
     if (L <= cfg_.base_case) {
       step_naive_into(row, false, next);
       std::swap(row, next);
       continue;
     }
+    // Power-of-two heights: the trapezoids' kernels are then exactly the
+    // squaring-ladder rungs taps^(2^k), whatever the boundary does, so a
+    // cache's kernels are O(log T) rungs rather than one per boundary
+    // position. The remainder rides the next (smaller) trapezoid.
+    L = static_cast<std::int64_t>(
+        std::bit_floor(static_cast<std::uint64_t>(L)));
     next.i = row.i - L;
     // resize, not assign: solve() fills every cell up to the returned
     // boundary, so the old contents need no zeroing pass.

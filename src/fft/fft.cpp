@@ -11,16 +11,11 @@
 #include <utility>
 
 #include "amopt/common/assert.hpp"
-#include "amopt/common/parallel.hpp"
 #include "amopt/simd/kernels.hpp"
 
 namespace amopt::fft {
 
 namespace {
-
-// Below this size the parallel-for overhead of a stage exceeds its work;
-// transforms stay serial. Chosen conservatively; see bench/micro_fft.
-constexpr std::size_t kParallelThreshold = std::size_t{1} << 15;
 
 // Below this size the SoA pipeline's de/interleave passes cost more than
 // the vector butterflies save; stay on the interleaved scalar loops.
@@ -105,33 +100,17 @@ void Plan::bit_reverse_permute(cplx* data) const {
   }
 }
 
-void Plan::radix2_stage(cplx* data, bool parallel) const {
+void Plan::radix2_stage(cplx* data) const {
   // Half-size-1 butterflies carry twiddle w = 1 in both directions.
-  if (parallel) {
-    // Pool chunks are disjoint and the per-butterfly arithmetic does not
-    // depend on the split, so the bits match the serial sweep.
-    constexpr std::size_t kChunk = std::size_t{1} << 13;
-    core::TaskPool::instance().for_each(
-        static_cast<std::ptrdiff_t>(n_ / kChunk), [&](std::size_t c) {
-          const std::size_t hi = (c + 1) * kChunk;
-          for (std::size_t base = c * kChunk; base < hi; base += 2) {
-            const cplx t = data[base + 1];
-            data[base + 1] = data[base] - t;
-            data[base] += t;
-          }
-        });
-  } else {
-    for (std::size_t base = 0; base < n_; base += 2) {
-      const cplx t = data[base + 1];
-      data[base + 1] = data[base] - t;
-      data[base] += t;
-    }
+  for (std::size_t base = 0; base < n_; base += 2) {
+    const cplx t = data[base + 1];
+    data[base + 1] = data[base] - t;
+    data[base] += t;
   }
 }
 
 template <bool kInverse>
-void Plan::radix4_pass(cplx* data, std::size_t h, const cplx* w,
-                       bool parallel) const {
+void Plan::radix4_pass(cplx* data, std::size_t h, const cplx* w) const {
   // One pass = two fused radix-2 stages (half-sizes h and 2h) on
   // bit-reversed data. With W = e^{-i pi / (2h)}:
   //   bb = b W^2j, cc = c W^j, dd = d W^3j,
@@ -140,7 +119,7 @@ void Plan::radix4_pass(cplx* data, std::size_t h, const cplx* w,
   //   out[j+h]  = b1 -+ i (cc - dd)   out[j+3h] = b1 +- i (cc - dd)
   // (upper signs forward, lower inverse; inverse also conjugates W).
   const std::size_t step = 4 * h;
-  const auto block = [&](std::size_t base) {
+  for (std::size_t base = 0; base < n_; base += step) {
     for (std::size_t j = 0; j < h; ++j) {
       cplx w1 = w[3 * j + 0];
       cplx w2 = w[3 * j + 1];
@@ -169,20 +148,6 @@ void Plan::radix4_pass(cplx* data, std::size_t h, const cplx* w,
       rb = b1 + it;
       rd = b1 - it;
     }
-  };
-  if (parallel) {
-    // Several blocks per chunk while h is small, one block per chunk once
-    // step dominates; block order is irrelevant (disjoint ranges).
-    const std::size_t chunk = std::max(step, std::size_t{1} << 13);
-    core::TaskPool::instance().for_each(
-        static_cast<std::ptrdiff_t>((n_ + chunk - 1) / chunk),
-        [&](std::size_t c) {
-          const std::size_t hi = std::min((c + 1) * chunk, n_);
-          for (std::size_t base = c * chunk; base < hi; base += step)
-            block(base);
-        });
-  } else {
-    for (std::size_t base = 0; base < n_; base += step) block(base);
   }
 }
 
@@ -195,19 +160,17 @@ void Plan::transform(cplx* data, bool inverse) const {
   }
   bit_reverse_permute(data);
 
-  const bool parallel = n_ >= kParallelThreshold && !in_parallel_region() &&
-                        hardware_threads() > 1;
   std::size_t h = 1;
   if (log2n_ & 1) {
-    radix2_stage(data, parallel);
+    radix2_stage(data);
     h = 2;
   }
   const cplx* w = twiddle4_.data();
   for (; h < n_; h <<= 2) {
     if (inverse) {
-      radix4_pass<true>(data, h, w, parallel);
+      radix4_pass<true>(data, h, w);
     } else {
-      radix4_pass<false>(data, h, w, parallel);
+      radix4_pass<false>(data, h, w);
     }
     w += 3 * h;
   }
@@ -227,39 +190,14 @@ void Plan::transform_simd(cplx* data, bool inverse, simd::Level lvl) const {
   // scalar path's swap pass + copy pass.
   kn.deinterleave_rev(data, bitrev_.data(), re, im, n_);
 
-  const bool parallel = n_ >= kParallelThreshold && !in_parallel_region() &&
-                        hardware_threads() > 1;
   std::size_t h = 1;
   if (log2n_ & 1) {
-    if (parallel) {
-      // Chunks align to butterfly pairs; any power-of-two split works.
-      constexpr std::size_t kChunk = std::size_t{1} << 13;
-      core::TaskPool::instance().for_each(
-          static_cast<std::ptrdiff_t>(n_ / kChunk), [&](std::size_t c) {
-            kn.radix2_pass(re + c * kChunk, im + c * kChunk, kChunk);
-          });
-    } else {
-      kn.radix2_pass(re, im, n_);
-    }
+    kn.radix2_pass(re, im, n_);
     h = 2;
   }
   const double* w = twiddle4_soa_.data();
   for (; h < n_; h <<= 2) {
-    const std::size_t step = 4 * h;
-    // Parallel chunks must be multiples of the block size AND large enough
-    // that the early stages still hand the vector kernels whole 16-element
-    // groups (the h = 1 transpose kernel needs them) — one block per chunk
-    // would feed h = 1 four elements at a time and fall back to scalar.
-    const std::size_t chunk = std::max(step, std::size_t{1} << 13);
-    if (parallel && n_ > chunk) {
-      core::TaskPool::instance().for_each(
-          static_cast<std::ptrdiff_t>(n_ / chunk), [&](std::size_t c) {
-            kn.radix4_pass(re + c * chunk, im + c * chunk, chunk, h, w,
-                           inverse);
-          });
-    } else {
-      kn.radix4_pass(re, im, n_, h, w, inverse);
-    }
+    kn.radix4_pass(re, im, n_, h, w, inverse);
     w += 6 * h;
   }
 

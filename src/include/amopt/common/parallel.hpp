@@ -1,8 +1,8 @@
 #pragma once
 // Thin veneer over the process-wide core::TaskPool (which replaced the
-// OpenMP runtime): the width/region queries the solvers and FFT gate on,
-// the RAII width pin the benches use, and a chunked parallel-for for the
-// embarrassingly-parallel row sweeps of the vanilla pricers and baselines.
+// OpenMP runtime): the width query, the RAII width pin the benches use, and
+// a chunked parallel-for for the embarrassingly-parallel row sweeps of the
+// vanilla pricers and baselines.
 
 #include <algorithm>
 #include <cstddef>
@@ -19,13 +19,6 @@ namespace amopt {
 /// Retarget the pool width used by subsequent parallel work.
 inline void set_threads(int n) {
   if (n > 0) core::TaskPool::instance().set_concurrency(n);
-}
-
-/// True on a pool worker thread — i.e. inside task execution, where the
-/// FFT must not fan out again (nested transforms stay serial, exactly as
-/// the omp_in_parallel() gate behaved).
-[[nodiscard]] inline bool in_parallel_region() {
-  return core::TaskPool::on_worker();
 }
 
 /// RAII guard that pins the pool width for a scope (used by the Table 5

@@ -14,10 +14,10 @@
 // boundary q_i stays or moves one cell left (Theorem 4.3 for the mapped
 // BSM grid).
 //
-// A trapezoid of height L is solved by (paper Fig. 3b):
-//   1. cells that are provably red at depth h = ceil(L/2) with their whole
+// A trapezoid of height L = 2^k is solved by (paper Fig. 3b):
+//   1. cells that are provably red at depth h = L/2 with their whole
 //      dependency cone red -> one correlation with the stencil's h-step
-//      kernel (FFT);
+//      kernel, the cached ladder rung taps^h (FFT);
 //   2. the O(g*h)-wide strip around the boundary -> recursion;
 //   3. repeat both for the second half. Base case: naive loop with `max`,
 //      which *discovers* the boundary location.

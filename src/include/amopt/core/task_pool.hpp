@@ -1,9 +1,9 @@
 #pragma once
 // The execution plane: a small work-stealing task pool shared process-wide
 // by the solvers (task-parallel trapezoid descent), the Pricer's batch
-// fan-out, the FFT stage splits, and the service shards' drain tasks —
-// replacing both the OpenMP runtime and the server's one-thread-per-shard
-// workers with a single set of workers sized by AMOPT_THREADS.
+// fan-out, and the service shards' drain tasks — replacing both the OpenMP
+// runtime and the server's one-thread-per-shard workers with a single set
+// of workers sized by AMOPT_THREADS.
 //
 // Determinism contract: the pool changes WHERE work runs, never what it
 // computes. Every fork in the library is a pair of legs writing disjoint
@@ -37,6 +37,17 @@
 //   * Idle workers take: own deque (LIFO, cache-warm), then the injection
 //     queue (FIFO, latency-fair to the service plane), then steal the
 //     oldest task of a sibling.
+//
+// Invariant the callers keep: no thread may run a leg of a fork whose
+// inline leg it is still executing. invoke2() runs its inline leg at the
+// caller's own nesting depth, so a pool join made INSIDE that leg by an
+// external caller would pop the injection queue, which can hand back the
+// sibling leg of the very fork. That leg would then run nested in the
+// half-done inline leg and share its thread-local scratch (conv::Workspace,
+// the FFT's SoA buffers) and its held locks. Hence nothing under an inline
+// leg waits on a pool join: transforms, kernel builds and correlations run
+// serially on the thread that calls them, and the solver's invoke2 is the
+// only intra-solve fork.
 
 #include <atomic>
 #include <condition_variable>

@@ -144,8 +144,8 @@ void correlate_valid(std::span<const double> main, std::span<const double> tail,
 // call (3 half-size transforms per convolution). When the same kernel is
 // applied repeatedly at one padded size — every trapezoid of a descent at
 // the same recursion depth, every squaring rung of a kernel ladder — the
-// kernel's spectrum can be computed once (`kernel_spectrum`, or the
-// stencil::KernelCache spectrum tier) and passed to the overloads below,
+// kernel's spectrum can be computed once (`kernel_spectrum`, or the spectra
+// stencil::KernelCache keeps per rung) and passed to the overloads below,
 // which then cost 2 transforms per call. Results are bit-identical to the
 // transform-per-call path at the same dispatch level: the cached bins are
 // the same bins the in-call transform would produce.

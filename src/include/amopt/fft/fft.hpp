@@ -50,10 +50,9 @@ class Plan {
   /// keeps the historical interleaved loops below, bit-for-bit).
   void transform_simd(cplx* data, bool inverse, simd::Level lvl) const;
   void bit_reverse_permute(cplx* data) const;
-  void radix2_stage(cplx* data, bool parallel) const;
+  void radix2_stage(cplx* data) const;
   template <bool kInverse>
-  void radix4_pass(cplx* data, std::size_t h, const cplx* w,
-                   bool parallel) const;
+  void radix4_pass(cplx* data, std::size_t h, const cplx* w) const;
 
   std::size_t n_;
   std::size_t log2n_;
@@ -74,9 +73,10 @@ class Plan {
 /// real signal zero-padded to a transform size n. This is the currency of
 /// the spectral convolution overloads (conv::correlate_valid /
 /// convolve_full / convolve_many with a precomputed kernel spectrum) and of
-/// the stencil::KernelCache spectrum tier — transform a kernel once, reuse
-/// its bins for every convolution at that padded size. Bins live in 64-byte
-/// aligned storage so the dispatched spectrum products take their fast path.
+/// the spectra stencil::KernelCache keeps per rung — transform a kernel
+/// once, reuse its bins for every convolution at that padded size. Bins
+/// live in 64-byte aligned storage so the dispatched spectrum products take
+/// their fast path.
 struct RealSpectrum {
   std::size_t n = 0;     ///< padded transform size (power of two; 0 = empty)
   std::size_t klen = 0;  ///< time-domain signal length the bins encode

@@ -37,45 +37,23 @@ namespace amopt::poly {
                                             std::uint64_t h,
                                             conv::Workspace& ws);
 
-/// The shared squaring ladder: ladder[k] holds the coefficients of
-/// taps^(2^k), exactly as power_fft's internal repeated-squaring chain
-/// produces them (including the probability-kernel noise clamp). A caller
-/// that keeps one ladder across calls (stencil::KernelCache) pays each
-/// squaring once for ALL requested heights instead of once per height.
-/// Rungs are append-only and never mutated after insertion, so spans into
-/// a rung's data stay valid across later extensions (vector move steals
-/// the heap buffer; it does not relocate it).
-using SquaringLadder = std::vector<std::vector<double>>;
-
-/// Grow `ladder` until it holds every rung the h walk needs (indices
-/// 0..floor(log2 h)), squaring the top rung exactly the way power_fft's
-/// internal chain does. Seeds rung 0 with `taps` on an empty ladder;
-/// asserts an existing rung 0 matches `taps` (a ladder reused with
-/// different taps would silently return powers of the WRONG stencil).
-/// The caller serializes concurrent access to `ladder`.
-void extend_ladder(std::span<const double> taps, std::uint64_t h,
-                   SquaringLadder& ladder, conv::Workspace& ws);
+/// One step of power_fft's repeated-squaring chain: rung * rung with the
+/// probability-kernel noise clamp (when every tap is non-negative). Rung 0
+/// is the raw taps and rung k+1 = square_rung(taps, rung k), so rung k is,
+/// bit for bit, the base power_fft holds after k squarings. A caller that
+/// keeps the rungs (stencil::KernelCache) pays each squaring once for ALL
+/// heights instead of once per height.
+[[nodiscard]] std::vector<double> square_rung(std::span<const double> taps,
+                                              std::span<const double> rung,
+                                              conv::Workspace& ws);
 
 /// The combine half of the walk: multiply together rungs[k] over the set
-/// bits of h, replaying power_fft's accumulation order and clamping. Reads
-/// the rung spans only — no ladder mutation — so callers may run it
-/// outside whatever lock guards ladder extension. rungs[0] must be the
-/// raw taps; rungs must cover every set bit of h.
+/// bits of h, replaying power_fft's accumulation order and clamping, so the
+/// result is bit-identical to power_fft(taps, h). rungs[0] must be the raw
+/// taps; rungs must cover every set bit of h.
 [[nodiscard]] std::vector<double> power_from_rungs(
     std::uint64_t h, std::span<const std::span<const double>> rungs,
     conv::Workspace& ws);
-
-/// power_fft drawing its repeated-squaring chain from `ladder` (extending
-/// it as needed, always from the largest cached rung). Bit-identical to
-/// power_fft(taps, h) at a fixed dispatch level: the rungs ARE the squaring
-/// sequence power_fft computes internally, and the combine steps replay the
-/// same convolutions in the same order — sharing skips recomputation
-/// without changing a single multiply. `ladder` must only ever be used with
-/// one `taps` vector; the caller serializes concurrent access.
-[[nodiscard]] std::vector<double> power_fft_ladder(std::span<const double> taps,
-                                                   std::uint64_t h,
-                                                   SquaringLadder& ladder,
-                                                   conv::Workspace& ws);
 
 [[nodiscard]] std::vector<double> power_binomial(double a, double b,
                                                  std::uint64_t h);

@@ -79,8 +79,8 @@ struct PricerConfig {
   /// round(expiry / dt*) and expiry is snapped onto the step grid
   /// (|change| <= dt*/2, sub-step). Tap vectors across the group then
   /// coincide bit for bit, so the whole chain shares ONE kernel cache —
-  /// powers, squaring ladder, and spectra are built once per chain instead
-  /// of once per expiry. Prices change by the normalization itself (a
+  /// ladder rungs, spectra and composed powers are built once per chain
+  /// instead of once per expiry. Prices change by the normalization itself (a
   /// refinement: T never decreases), bounded by the lattice's own O(1/T)
   /// discretization error; see DESIGN.md §5. Items whose renormalized T
   /// would exceed 8x the requested T keep their own discretization.
@@ -169,8 +169,8 @@ class Pricer {
   [[nodiscard]] std::vector<PricingResult> implied_vol_many(
       std::span<const PricingRequest> requests);
 
-  /// The byte budget of the session registry: kernel caches (powers,
-  /// squaring-ladder rungs, power snapshots, spectra) and boundary-engine
+  /// The byte budget of the session registry: kernel caches (ladder
+  /// rungs, their spectra, composed non-rung powers) and boundary-engine
   /// node tables, summed. Least-recently-used entries are dropped until the
   /// total fits, on every insert and at the end of every batch, so an idle
   /// session holds at most this much. An entry some in-flight pricing still
@@ -182,11 +182,17 @@ class Pricer {
   /// rarely asked for again; charged double they can fill at most half the
   /// budget, while a chain's own groups may use all of it.
   ///
-  /// A group larger than the whole budget (a BOPM fft solve at T = 2^16, a
-  /// BSM put at T >= 2^15) is dropped when its batch returns, and
-  /// re-pricing it in a later call rebuilds its kernels. 3 MiB keeps a
-  /// warm chain of a 4-strike BOPM call group and a BSM put group at
-  /// T = 8192 (2.3 MB together) across calls, and holds the trial groups
+  /// A group's bytes are O(T) on any spot path: trapezoid heights are
+  /// powers of two, so a group holds the ladder rungs taps^(2^k) up to its
+  /// largest trapezoid (O(T) coefficients in all, a few spectrum sizes
+  /// each), whatever the exercise boundary does; a chain whose spot walks
+  /// reuses the same rungs. A 4-strike group at T = 2^16 holds 0.9 MB
+  /// (BOPM call) and 3.8 MB (BSM put). A group larger than the whole
+  /// budget is dropped when its batch returns, and re-pricing it in a
+  /// later call rebuilds its kernels. 3 MiB was sized on the larger
+  /// per-boundary-height caches this replaced: it kept a warm chain of a
+  /// 4-strike BOPM call group and a BSM put group at T = 8192 (2.3 MB
+  /// together then, 0.6 MB now) across calls, and holds the trial groups
   /// of the surface-refit workload (perfbench/: 4 daemon shards plus a
   /// direct session refitting implied vols at T 512-2560) at 1.5 MiB per
   /// session. Its peak RSS over 10 alternating 30 s runs each, median

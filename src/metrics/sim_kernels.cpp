@@ -1,6 +1,7 @@
 #include "amopt/metrics/sim_kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <complex>
 #include <map>
 #include <memory>
@@ -191,8 +192,9 @@ class FftReplayer {
     SimVec<cplx>& sa = cached(spec_a_, m + 1);
     SimVec<cplx>& tw = cached(half_tw_, m);
     SimVec<cplx>& rtw = cached(real_tw_, m / 2 + 1);
-    // The cached kernel spectrum, keyed like KernelCache's (h, log2 n):
-    // first touch builds it (pack + one forward), later touches only read.
+    // The cached kernel spectrum, one per (rung, padded size) like
+    // KernelCache's: first touch builds it (pack + one forward), later
+    // touches only read.
     const std::size_t key = (n_kernel << 24) | n;
     auto it = kspec_.find(key);
     if (it == kspec_.end()) {
@@ -311,30 +313,28 @@ class FftReplayer {
   Cache<cplx> z_cache_;
   Cache<cplx> tw_cache_;
   /// Cached kernel spectra keyed by (kernel length, padded size) — the
-  /// replay mirror of the KernelCache spectrum tier.
+  /// replay mirror of the spectra KernelCache keeps per rung.
   std::map<std::size_t, std::unique_ptr<SimVec<cplx>>> kspec_;
 };
 
-/// Kernel-power construction traffic: closed form (table write) for 2-tap,
-/// FFT squaring chain for wider stencils. Heights are memoized per run,
-/// mirroring the solver's KernelCache.
-void replay_kernel_power(FftReplayer& fr, CacheSim& sim, std::int64_t taps,
-                         std::int64_t h, std::set<std::int64_t>& seen) {
-  if (!seen.insert(h).second) return;
-  const std::size_t len = static_cast<std::size_t>((taps - 1) * h + 1);
+/// Kernel-rung construction traffic, memoised per rung like the solver's
+/// KernelCache: rung h = 2^k is a closed-form table write for 2-tap
+/// stencils, and one squaring of rung h/2 (built first if missing) for
+/// wider ones.
+void replay_kernel_rung(FftReplayer& fr, CacheSim& sim, std::int64_t taps,
+                        std::int64_t h, std::set<std::int64_t>& built) {
+  if (built.contains(h)) return;
   if (taps == 2) {
+    const std::size_t len = static_cast<std::size_t>(h + 1);
     SimVec<double> kernel(sim, len);
     for (std::size_t m = 0; m < len; ++m) kernel[m] = 1.0;
-    return;
+  } else if (h > 1) {
+    replay_kernel_rung(fr, sim, taps, h / 2, built);
+    const std::size_t half =
+        static_cast<std::size_t>((taps - 1) * (h / 2) + 1);
+    fr.convolution(half, half, 2 * half - 1);
   }
-  // binary exponentiation: squarings of geometrically growing kernels
-  std::size_t cur = static_cast<std::size_t>(taps);
-  std::int64_t e = h;
-  while (e > 1) {
-    fr.convolution(cur, cur, 2 * cur - 1);
-    cur = 2 * cur - 1;
-    e >>= 1;
-  }
+  built.insert(h);
 }
 
 /// Trace replay of LatticeSolver::solve using the precomputed boundary.
@@ -344,7 +344,7 @@ struct LatticeReplay {
   const std::vector<std::int64_t>& q;  // boundary per row
   std::int64_t g;                      // cone growth
   std::int64_t base_case;
-  std::set<std::int64_t> kernel_heights;
+  std::set<std::int64_t> kernel_rungs;
   // Row buffers in the real solver come from an allocator that immediately
   // reuses freed blocks; model that with one persistent scratch vector.
   std::shared_ptr<SimVec<double>> scratch;
@@ -374,11 +374,10 @@ struct LatticeReplay {
       for (std::int64_t s = 0; s < L; ++s) row_sweep(q0 - jL + 1);
       return;
     }
-    const std::int64_t h = (L + 1) / 2;
-    const std::int64_t h2 = L - h;
+    const std::int64_t h = L / 2;  // L is a power of two, as in the solver
     const std::int64_t jC = q0 - h - (g - 1) * (h - 1);
     if (jC >= jL) {
-      replay_kernel_power(fr, sim, g + 1, h, kernel_heights);
+      replay_kernel_rung(fr, sim, g + 1, h, kernel_rungs);
       fr.correlation_spectral(static_cast<std::size_t>(q0 - jL + g),
                               static_cast<std::size_t>(g * h + 1),
                               static_cast<std::size_t>(jC - jL + 1));
@@ -388,15 +387,15 @@ struct LatticeReplay {
     }
     const std::int64_t q_mid = std::min(q[static_cast<std::size_t>(i0 - h)], q0);
     if (q_mid < jL) return;
-    const std::int64_t jC2 = q_mid - h2 - (g - 1) * (h2 - 1);
+    const std::int64_t jC2 = q_mid - h - (g - 1) * (h - 1);
     if (jC2 >= jL) {
-      replay_kernel_power(fr, sim, g + 1, h2, kernel_heights);
+      replay_kernel_rung(fr, sim, g + 1, h, kernel_rungs);
       fr.correlation_spectral(static_cast<std::size_t>(q_mid - jL + g),
-                              static_cast<std::size_t>(g * h2 + 1),
+                              static_cast<std::size_t>(g * h + 1),
                               static_cast<std::size_t>(jC2 - jL + 1));
-      solve(i0 - h, jC2 + 1, q_mid, h2);
+      solve(i0 - h, jC2 + 1, q_mid, h);
     } else {
-      solve(i0 - h, jL, q_mid, h2);
+      solve(i0 - h, jL, q_mid, h);
     }
   }
 
@@ -412,13 +411,15 @@ struct LatticeReplay {
     while (i > i_stop) {
       const std::int64_t qi = q[static_cast<std::size_t>(i)];
       if (qi < 0) return;
-      const std::int64_t L =
+      std::int64_t L =
           std::min(std::max<std::int64_t>((qi + 1) / g, 1), i - i_stop);
       if (L <= base_case) {
         row_sweep(qi + 1);
         i -= 1;
         continue;
       }
+      L = static_cast<std::int64_t>(
+          std::bit_floor(static_cast<std::uint64_t>(L)));
       solve(i, 0, qi, L);
       i -= L;
     }

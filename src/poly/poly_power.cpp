@@ -69,7 +69,7 @@ void clamp_kernel_noise(std::span<double> k) {
 
 std::vector<double> power_fft(std::span<const double> taps, std::uint64_t h,
                               conv::Workspace& ws) {
-  // extend_ladder/power_from_rungs below replay this walk rung for rung;
+  // square_rung/power_from_rungs below replay this walk rung for rung;
   // any change to the clamp or the convolution order must be mirrored
   // there, or KernelCache::power loses its bit-identity with poly::power
   // (asserted in tests/test_stencil.cpp).
@@ -122,28 +122,18 @@ std::vector<double> power_fft(std::span<const double> taps, std::uint64_t h) {
 // contract tests/test_stencil.cpp asserts). Any change to power_fft's clamp
 // threshold, accumulation order, or policy MUST be mirrored here.
 
-void extend_ladder(std::span<const double> taps, std::uint64_t h,
-                   SquaringLadder& ladder, conv::Workspace& ws) {
-  AMOPT_EXPECTS(!taps.empty());
-  if (h == 0) return;
+std::vector<double> square_rung(std::span<const double> taps,
+                                std::span<const double> rung,
+                                conv::Workspace& ws) {
+  AMOPT_EXPECTS(!taps.empty() && !rung.empty());
   bool probability_kernel = true;
   for (double t : taps) probability_kernel &= (t >= 0.0);
-  if (ladder.empty()) ladder.emplace_back(taps.begin(), taps.end());
-  AMOPT_EXPECTS(ladder[0].size() == taps.size());
-  AMOPT_EXPECTS(std::equal(ladder[0].begin(), ladder[0].end(), taps.begin()));
-  std::size_t kmax = 0;
-  for (std::uint64_t e = h; e >>= 1;) ++kmax;
-  while (ladder.size() <= kmax) {
-    // Rung k+1 = rung k squared: the self-convolution rides the aliased
-    // one-transform fast path, and the clamp matches power_fft's internal
-    // base clamp — a rung built for one height is, bit for bit, the rung
-    // every other height would have recomputed.
-    const std::vector<double>& top = ladder.back();
-    std::vector<double> next(2 * top.size() - 1);
-    conv::convolve_full(top, top, next, ws);
-    if (probability_kernel) clamp_kernel_noise(next);
-    ladder.push_back(std::move(next));
-  }
+  // The self-convolution rides the aliased one-transform fast path, and
+  // the clamp matches power_fft's internal base clamp.
+  std::vector<double> next(2 * rung.size() - 1);
+  conv::convolve_full(rung, rung, next, ws);
+  if (probability_kernel) clamp_kernel_noise(next);
+  return next;
 }
 
 std::vector<double> power_from_rungs(
@@ -173,20 +163,6 @@ std::vector<double> power_from_rungs(
   }
   return std::vector<double>(result.begin(),
                              result.begin() + static_cast<std::ptrdiff_t>(nr));
-}
-
-std::vector<double> power_fft_ladder(std::span<const double> taps,
-                                     std::uint64_t h, SquaringLadder& ladder,
-                                     conv::Workspace& ws) {
-  AMOPT_EXPECTS(!taps.empty());
-  if (h == 0) return {1.0};
-  extend_ladder(taps, h, ladder, ws);
-  std::size_t kmax = 0;
-  for (std::uint64_t e = h; e >>= 1;) ++kmax;
-  std::vector<std::span<const double>> rungs;
-  rungs.reserve(kmax + 1);
-  for (std::size_t k = 0; k <= kmax; ++k) rungs.emplace_back(ladder[k]);
-  return power_from_rungs(h, rungs, ws);
 }
 
 std::vector<double> power_binomial(double a, double b, std::uint64_t h) {

@@ -50,6 +50,10 @@ double price_fft(const OptionSpec& spec, std::int64_t T,
   std::erase_if(dates, [&](std::int64_t s) { return s >= T; });
   std::sort(dates.rbegin(), dates.rend());
 
+  // Equal inter-date gaps arrive one after another: keep the spectrum of
+  // the last (gap, padded size) for the FFT route.
+  std::int64_t spec_gap = -1;
+  fft::RealSpectrum gap_spec;
   std::int64_t i = T;
   const auto evolve_to = [&](std::int64_t target) {
     const std::int64_t h = i - target;
@@ -57,13 +61,15 @@ double price_fft(const OptionSpec& spec, std::int64_t T,
     std::vector<double> next(static_cast<std::size_t>(target + 1));
     const std::span<const double> kernel =
         kernels.power(static_cast<std::uint64_t>(h));
-    // Equal inter-date gaps re-request the same height; consume the cached
-    // kernel spectrum on the FFT path like the trapezoid solvers do.
     if (conv::correlate_prefers_fft(next.size(), kernel.size(), {})) {
-      const auto spec = kernels.power_spectrum(
-          static_cast<std::uint64_t>(h),
-          conv::correlate_fft_size(next.size(), kernel.size()));
-      conv::correlate_valid(row, *spec, next, conv::thread_workspace());
+      const std::size_t n =
+          conv::correlate_fft_size(next.size(), kernel.size());
+      if (spec_gap != h || gap_spec.n != n) {
+        gap_spec = conv::kernel_spectrum(kernel, n, /*reversed=*/true,
+                                         conv::thread_workspace());
+        spec_gap = h;
+      }
+      conv::correlate_valid(row, gap_spec, next, conv::thread_workspace());
     } else {
       conv::correlate_valid(row, kernel, next);
     }

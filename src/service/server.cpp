@@ -90,9 +90,12 @@ struct Server::Shard {
   bool stopping = false;
   bool armed = false;
   core::TaskPool::Task drain_task;  ///< reusable: re-pushed on each arm
-  /// stop(grace) sets this once the grace expires: the drain stops
-  /// pricing queued items and sheds them with `overloaded` instead.
-  std::atomic<bool> shed_pending{false};
+  /// stop(grace)'s cutoff (max() = none): items the drain pops at or after
+  /// it are shed with `overloaded` instead of priced. The drain reads the
+  /// clock itself when it pops, so a late-scheduled stop() thread cannot
+  /// let queued items slip into a pricing batch.
+  std::chrono::steady_clock::time_point shed_after =
+      std::chrono::steady_clock::time_point::max();
 
   // Drain-owned, reused across batches (capacities converge, then stay).
   // Exclusive ownership follows from the `armed` protocol above.
@@ -115,6 +118,7 @@ struct Server::Shard {
   void drain() {
     for (;;) {
       items.clear();
+      std::chrono::steady_clock::time_point cutoff;
       {
         std::unique_lock<std::mutex> lock(m);
         if (size == 0) {
@@ -141,6 +145,7 @@ struct Server::Shard {
           head = head + 1 == ring.size() ? 0 : head + 1;
         }
         size -= n;
+        cutoff = shed_after;
       }
 
       // Shed BEFORE pricing: a bounded-grace drain sheds everything still
@@ -148,8 +153,8 @@ struct Server::Shard {
       // more — either way the pricing batch is built only from items
       // someone is still waiting on. Shed fills are static-message and
       // capacity-reusing, so shedding under overload is allocation-free.
-      const bool shed_all = shed_pending.load(std::memory_order_relaxed);
       const auto now = std::chrono::steady_clock::now();
+      const bool shed_all = now >= cutoff;
       batch.clear();
       live.clear();
       std::uint64_t n_deadline = 0, n_drain = 0;
@@ -220,35 +225,26 @@ void Server::stop() { stop_impl(nullptr); }
 void Server::stop(std::chrono::microseconds grace) { stop_impl(&grace); }
 
 void Server::stop_impl(const std::chrono::microseconds* grace) {
-  for (auto& sp : shards_) {
-    std::lock_guard<std::mutex> lock(sp->m);
-    sp->stopping = true;
-    sp->cv.notify_all();  // cut any in-flight coalescing linger short
-  }
-  // Quiesce: an armed drain keeps popping until its queue is empty, then
-  // disarms — wait for that, item by shard. The pool guarantees at least
-  // one worker thread, so a scheduled drain task always executes.
+  // Past the grace, the drains finish whatever price_many is in flight and
+  // complete the rest of their queues with `overloaded` — bounded by
+  // compute already started, not by queue depth.
   const auto cutoff = grace == nullptr
                           ? std::chrono::steady_clock::time_point::max()
                           : std::chrono::steady_clock::now() + *grace;
-  bool shedding = false;
+  for (auto& sp : shards_) {
+    std::lock_guard<std::mutex> lock(sp->m);
+    sp->stopping = true;
+    sp->shed_after = std::min(sp->shed_after, cutoff);
+    sp->cv.notify_all();  // cut any in-flight coalescing linger short
+  }
+  // Quiesce: an armed drain keeps popping until its queue is empty, then
+  // disarms — wait for that, shard by shard. The pool guarantees at least
+  // one worker thread, so a scheduled drain task always executes.
   for (auto& sp : shards_) {
     for (;;) {
       {
         std::lock_guard<std::mutex> lock(sp->m);
         if (sp->size == 0 && !sp->armed) break;
-      }
-      if (!shedding && std::chrono::steady_clock::now() >= cutoff) {
-        // Grace expired: flip every shard to shed mode. The drains finish
-        // whatever price_many is in flight, then complete the rest of
-        // their queues with `overloaded` — bounded by compute already
-        // started, not by queue depth.
-        shedding = true;
-        for (auto& other : shards_) {
-          other->shed_pending.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> lock(other->m);
-          other->cv.notify_all();
-        }
       }
       std::this_thread::yield();
     }

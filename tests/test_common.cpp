@@ -88,8 +88,4 @@ TEST(Parallel, ThreadScopeRestores) {
   EXPECT_EQ(hardware_threads(), before);
 }
 
-TEST(Parallel, NotInParallelRegionAtTopLevel) {
-  EXPECT_FALSE(in_parallel_region());
-}
-
 }  // namespace

@@ -1,20 +1,24 @@
 // Determinism stress test for the execution plane: the task pool changes
 // WHERE work runs, never what it computes. A heterogeneous 64-item batch
 // (mixed models, rights, expiries, engines, targets) priced at width 8 —
-// with the per-batch fan-out, the task-parallel descent, and the FFT stage
-// splits all live — must reproduce the width-1 session bit for bit, on
-// prices, greeks and implied vols alike, across 50 repeated rounds on one
-// warm session (so steals hit warm arenas in every interleaving the
-// scheduler can produce). Also pins the cross-thread scratch accounting
-// the service plane's admission control keys on.
+// with the per-batch fan-out and the task-parallel descent both live —
+// must reproduce the width-1 session bit for bit, on prices, greeks and
+// implied vols alike, across 50 repeated rounds on one warm session (so
+// steals hit warm arenas in every interleaving the scheduler can produce).
+// Paper-scale solves joined from the caller thread must do the same. Also
+// pins the cross-thread scratch accounting the service plane's admission
+// control keys on.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "amopt/common/parallel.hpp"
+#include "amopt/pricing/api.hpp"
 #include "amopt/pricing/bopm.hpp"
 #include "amopt/pricing/pricer.hpp"
 
@@ -109,6 +113,34 @@ TEST(Determinism, WidthEightMatchesWidthOneBitForBitOverFiftyRounds) {
         ASSERT_EQ(got[i].implied_vol.converged, ref[i].implied_vol.converged)
             << "round " << round << " item " << i;
       }
+    }
+  }
+}
+
+TEST(Determinism, CallerThreadPaperScaleSolvesMatchWidthOne) {
+  // T = 2^16 BOPM and TOPM solves called from this (non-worker) thread at
+  // width 4 fork the descent into the injection queue and join from
+  // outside the pool; three repeats of each must return the width-1 bits.
+  const auto hex = [](double x) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", x);
+    return std::string(buf);
+  };
+  constexpr std::int64_t kT = std::int64_t{1} << 16;
+  for (const Model model : {Model::bopm, Model::topm}) {
+    for (const Right right : {Right::call, Right::put}) {
+      const auto solve = [&] {
+        return price(paper_spec(), kT, model, right);
+      };
+      double ref = 0.0;
+      {
+        ThreadScope serial(1);
+        ref = solve();
+      }
+      ThreadScope wide(4);
+      for (int rep = 0; rep < 3; ++rep)
+        ASSERT_EQ(hex(solve()), hex(ref))
+            << to_string(model) << " " << to_string(right) << " rep " << rep;
     }
   }
 }

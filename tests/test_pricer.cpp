@@ -664,16 +664,16 @@ TEST(Pricer, GreeksUnsupportedOutsideBopmAmericanFft) {
 }
 
 TEST(Pricer, LruEvictionKeepsResultsCorrect) {
-  // Five expiry groups at T = 16384 (~1 MB of kernels each) overflow the
-  // session's byte budget: the least-recently-used groups rotate out and
-  // are rebuilt next round, and results never change.
+  // Five expiry groups at T = 32768 (~0.9 MB of kernel rungs each)
+  // overflow the session's byte budget: the least-recently-used groups
+  // rotate out and are rebuilt next round, and results never change.
   Pricer session;
   std::vector<PricingRequest> reqs;
   for (double e : {0.25, 0.5, 1.0, 1.5, 2.0}) {
     PricingRequest q;
     q.spec = paper_spec();
     q.spec.expiry_years = e;
-    q.T = 16384;
+    q.T = 32768;
     reqs.push_back(q);
   }
   std::uint64_t misses = 0;
@@ -681,7 +681,7 @@ TEST(Pricer, LruEvictionKeepsResultsCorrect) {
     const std::vector<PricingResult> res = session.price_many(reqs);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       ASSERT_EQ(res[i].status, Status::ok);
-      EXPECT_EQ(res[i].price, bopm::american_call_fft(reqs[i].spec, 16384));
+      EXPECT_EQ(res[i].price, bopm::american_call_fft(reqs[i].spec, 32768));
     }
     const Pricer::Stats st = session.stats();
     EXPECT_LE(st.cache_bytes, Pricer::kCacheBytes) << "round " << round;
@@ -1042,9 +1042,10 @@ TEST(Pricer, GreeksWarmStartReplaysBumpedLegsExactly) {
 }
 
 TEST(Pricer, CacheBytesBoundTheRegistry) {
-  // A mixed-T batch whose kernel caches (~1-2.3 MB each) outgrow the byte
-  // budget: the batch returns within budget, evicted spectra are counted,
-  // and every price stays correct — eviction only forgets warm state.
+  // A mixed-T batch whose kernel caches (~0.9-1.8 MB of rungs each)
+  // outgrow the byte budget: the batch returns within budget, evicted
+  // spectra are counted, and every price stays correct — eviction only
+  // forgets warm state.
   const auto batch = [](std::initializer_list<std::int64_t> ts) {
     std::vector<PricingRequest> reqs;
     for (const std::int64_t T : ts) {
@@ -1055,7 +1056,7 @@ TEST(Pricer, CacheBytesBoundTheRegistry) {
     }
     return reqs;
   };
-  const std::vector<PricingRequest> big = batch({16384, 24000, 32768});
+  const std::vector<PricingRequest> big = batch({32768, 49152, 65536});
   Pricer session;
   const auto out = session.price_many(big);
   for (std::size_t i = 0; i < big.size(); ++i) {

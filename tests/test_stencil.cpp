@@ -13,6 +13,8 @@
 #include "amopt/core/task_pool.hpp"
 #include "amopt/fft/convolution.hpp"
 #include "amopt/poly/poly_power.hpp"
+#include "amopt/pricing/api.hpp"
+#include "amopt/pricing/params.hpp"
 #include "amopt/stencil/kernel_cache.hpp"
 #include "amopt/stencil/linear_stencil.hpp"
 
@@ -124,22 +126,21 @@ TEST(KernelCache, LadderPowersMatchNaiveUpTo4096) {
   for (std::size_t i = 0; i < naive.size(); ++i)
     EXPECT_NEAR(k[i], naive[i], 1e-10 * std::max(peak, 1.0)) << "i=" << i;
   // 12 heights <= 2^12 share one 13-rung chain (taps^1 .. taps^4096).
-  EXPECT_LE(cache.stats().ladder_rungs, 13u);
+  EXPECT_LE(cache.stats().rungs, 13u);
 }
 
 TEST(KernelCache, SpectraAreCachedPerHeightAndSize) {
   const std::vector<double> taps{0.2, 0.5, 0.29};
   stencil::KernelCache cache({taps});
   const std::size_t n = 256;
-  const auto sp1 = cache.power_spectrum(16, n);
-  const auto sp2 = cache.power_spectrum(16, n);
-  const fft::RealSpectrum& s1 = *sp1;
-  EXPECT_EQ(sp1.get(), sp2.get());  // memoized, stable entry
+  const fft::RealSpectrum& s1 = cache.power_spectrum(16, n);
+  const fft::RealSpectrum& s2 = cache.power_spectrum(16, n);
+  EXPECT_EQ(&s1, &s2);  // memoized, stable entry
   EXPECT_EQ(s1.n, n);
   EXPECT_TRUE(s1.reversed);
   EXPECT_EQ(s1.klen, cache.power(16).size());
-  const auto sp3 = cache.power_spectrum(16, 2 * n);
-  EXPECT_NE(sp1.get(), sp3.get());  // same height, different padded size
+  const fft::RealSpectrum& s3 = cache.power_spectrum(16, 2 * n);
+  EXPECT_NE(&s1, &s3);  // same rung, different padded size
   EXPECT_EQ(cache.stats().spectra, 2u);
 
   // The cached bins must be exactly what an in-call transform produces.
@@ -154,7 +155,7 @@ TEST(KernelCache, SpectraAreCachedPerHeightAndSize) {
 TEST(KernelCache, SpectralCorrelationMatchesTimeDomain) {
   const std::vector<double> taps{0.3, 0.45, 0.22};
   stencil::KernelCache cache({taps});
-  const std::uint64_t h = 40;
+  const std::uint64_t h = 32;
   const auto kernel = cache.power(h);
   const auto in = random_vec(400, 77);
   const std::size_t n_out = in.size() - kernel.size() + 1;
@@ -163,7 +164,7 @@ TEST(KernelCache, SpectralCorrelationMatchesTimeDomain) {
   conv::Workspace ws;
   conv::correlate_valid(
       in,
-      *cache.power_spectrum(h, conv::correlate_fft_size(n_out, kernel.size())),
+      cache.power_spectrum(h, conv::correlate_fft_size(n_out, kernel.size())),
       got, ws);
   for (std::size_t i = 0; i < n_out; ++i)
     ASSERT_EQ(got[i], want[i]) << "i=" << i;  // same bits, not just close
@@ -184,10 +185,38 @@ TEST(KernelCache, BytesCountEveryInsert) {
   const std::size_t with_spectrum = cache.bytes();
   const stencil::KernelCache::Stats st = cache.stats();
   EXPECT_GE(with_spectrum, with_power + st.spectrum_bytes);
-  EXPECT_GE(st.ladder_rungs, 7u);  // taps^1 .. taps^64
+  EXPECT_GE(st.rungs, 7u);  // taps^1 .. taps^64
   (void)cache.power(64);
   (void)cache.power_spectrum(64, 512);
   EXPECT_EQ(cache.bytes(), with_spectrum);
+}
+
+TEST(KernelCache, PaperScaleSolvesBuildOnlyLadderRungs) {
+  // Trapezoid heights are powers of two, so a cold solve's kernels are the
+  // rungs taps^(2^k) up to its largest trapezoid: at most 15 for a BOPM
+  // call at T = 2^16 and a BSM put at T = 2^15 (heights that followed the
+  // exercise boundary built 67 and 51 powers).
+  using pricing::Engine, pricing::Model, pricing::Right, pricing::Style;
+  struct Case {
+    Model model;
+    Right right;
+    std::int64_t T;
+  };
+  for (const Case c : {Case{Model::bopm, Right::call, std::int64_t{1} << 16},
+                       Case{Model::bsm, Right::put, std::int64_t{1} << 15}}) {
+    const pricing::OptionSpec spec = pricing::paper_spec();
+    stencil::KernelCache cache(pricing::detail::shared_cache_stencil(
+        spec, c.T, c.model, c.right, Style::american, Engine::fft));
+    core::SolverConfig serial;
+    serial.parallel = false;
+    const double price = pricing::detail::price_with_cache(
+        spec, c.T, c.model, c.right, Style::american, Engine::fft, serial,
+        &cache);
+    EXPECT_TRUE(std::isfinite(price) && price > 0.0);
+    const stencil::KernelCache::Stats st = cache.stats();
+    EXPECT_GT(st.spectra, 0u) << "T=" << c.T;
+    EXPECT_LE(st.powers, 15u) << "T=" << c.T;
+  }
 }
 
 TEST(LinearStencil, NaiveApplyShrinksCorrectly) {

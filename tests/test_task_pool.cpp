@@ -14,6 +14,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -22,6 +24,7 @@
 
 #include "amopt/common/parallel.hpp"
 #include "amopt/core/task_pool.hpp"
+#include "amopt/pricing/api.hpp"
 #include "amopt/pricing/params.hpp"
 #include "amopt/pricing/pricer.hpp"
 
@@ -145,7 +148,6 @@ TEST(TaskPool, SetConcurrencyClampsToValidRange) {
 TEST(TaskPool, OnWorkerIsFalseOnCallerTrueOnWorkers) {
   ThreadScope scope(4);
   EXPECT_FALSE(TaskPool::on_worker());
-  EXPECT_FALSE(in_parallel_region());
   std::atomic<int> counters[2] = {{0}, {0}};  // [0] on-worker, [1] not
   TaskPool::instance().run_on_workers(
       [](void* p) {
@@ -237,6 +239,28 @@ TEST(TaskPool, CallerThreadJoinsPaperScaleSolvesAtWidthFour) {
       EXPECT_TRUE(std::isfinite(res.price) && res.price > 0.0)
           << "round " << round;
     }
+  }
+  // TOPM call and put at T = 2^16, five calls each straight from this
+  // thread: none may hang, and every one must return the width-1 bits.
+  const auto hex = [](double x) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", x);
+    return std::string(buf);
+  };
+  for (const pricing::Right right :
+       {pricing::Right::call, pricing::Right::put}) {
+    const auto solve = [right] {
+      return pricing::price(pricing::paper_spec(), std::int64_t{1} << 16,
+                            pricing::Model::topm, right);
+    };
+    double ref = 0.0;
+    {
+      ThreadScope serial(1);
+      ref = solve();
+    }
+    for (int call = 0; call < 5; ++call)
+      EXPECT_EQ(hex(solve()), hex(ref))
+          << (right == pricing::Right::call ? "call " : "put ") << call;
   }
 }
 
