@@ -1,6 +1,7 @@
 // google-benchmark microbenches for the FFT substrate: complex and real
 // transform throughput, the two convolution pipelines (direct, real-input
-// R2C/C2R), and the allocation-free Workspace paths the solvers rely on.
+// R2C/C2R), and the allocation-free span-output paths the solvers rely on
+// (their scratch is leased from the thread's core::ScratchStack).
 //
 // On top of the statically registered benches (which run at the ambient
 // dispatch level, i.e. the production default), main() registers one copy
@@ -96,17 +97,17 @@ void BM_ConvolveFull(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvolveFull)->RangeMultiplier(4)->Range(1 << 8, 1 << 18);
 
-// Real-input path through a warm Workspace: zero heap traffic per call.
+// Real-input path into a caller-owned output, scratch from the warm thread
+// arena: zero heap traffic per call. (The series keeps its historical name.)
 void BM_ConvolveFullWorkspace(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto a = random_real(n);
   const auto b = random_real(n);
-  amopt::conv::Workspace ws;
   std::vector<double> out(2 * n - 1);
   const amopt::conv::Policy fft{amopt::conv::Policy::Path::fft};
-  amopt::conv::convolve_full(a, b, out, ws, fft);  // warm-up
+  amopt::conv::convolve_full(a, b, out, fft);  // warm-up
   for (auto _ : state) {
-    amopt::conv::convolve_full(a, b, out, ws, fft);
+    amopt::conv::convolve_full(a, b, out, fft);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -129,11 +130,10 @@ void BM_CorrelateValidWorkspace(benchmark::State& state) {
   const auto in = random_real(2 * n);
   const auto kernel = random_real(n);
   std::vector<double> out(n + 1);
-  amopt::conv::Workspace ws;
   const amopt::conv::Policy fft{amopt::conv::Policy::Path::fft};
-  amopt::conv::correlate_valid(in, kernel, out, ws, fft);  // warm-up
+  amopt::conv::correlate_valid(in, kernel, out, fft);  // warm-up
   for (auto _ : state) {
-    amopt::conv::correlate_valid(in, kernel, out, ws, fft);
+    amopt::conv::correlate_valid(in, kernel, out, fft);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -151,11 +151,10 @@ void BM_ConvolveMany(benchmark::State& state) {
   std::vector<std::span<const double>> inputs(storage.begin(), storage.end());
   const auto kernel = random_real(n);
   std::vector<std::vector<double>> outs(kItems);
-  amopt::conv::Workspace ws;
   const amopt::conv::Policy fft{amopt::conv::Policy::Path::fft};
-  amopt::conv::convolve_many(inputs, kernel, outs, ws, fft);  // warm-up
+  amopt::conv::convolve_many(inputs, kernel, outs, fft);  // warm-up
   for (auto _ : state) {
-    amopt::conv::convolve_many(inputs, kernel, outs, ws, fft);
+    amopt::conv::convolve_many(inputs, kernel, outs, fft);
     benchmark::DoNotOptimize(outs.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -219,12 +218,11 @@ void BM_ConvolveWorkspacePath(benchmark::State& state,
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto a = random_real(n);
   const auto b = random_real(n);
-  amopt::conv::Workspace ws;
   std::vector<double> out(2 * n - 1);
   const amopt::conv::Policy fft{amopt::conv::Policy::Path::fft};
-  amopt::conv::convolve_full(a, b, out, ws, fft);  // warm-up
+  amopt::conv::convolve_full(a, b, out, fft);  // warm-up
   for (auto _ : state) {
-    amopt::conv::convolve_full(a, b, out, ws, fft);
+    amopt::conv::convolve_full(a, b, out, fft);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -238,11 +236,10 @@ void BM_CorrelateWorkspacePath(benchmark::State& state,
   const auto in = random_real(2 * n);
   const auto kernel = random_real(n);
   std::vector<double> out(n + 1);
-  amopt::conv::Workspace ws;
   const amopt::conv::Policy fft{amopt::conv::Policy::Path::fft};
-  amopt::conv::correlate_valid(in, kernel, out, ws, fft);  // warm-up
+  amopt::conv::correlate_valid(in, kernel, out, fft);  // warm-up
   for (auto _ : state) {
-    amopt::conv::correlate_valid(in, kernel, out, ws, fft);
+    amopt::conv::correlate_valid(in, kernel, out, fft);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -257,13 +254,12 @@ void BM_CorrelateSpectralPath(benchmark::State& state,
   const auto in = random_real(2 * n);
   const auto kernel = random_real(n);
   std::vector<double> out(n + 1);
-  amopt::conv::Workspace ws;
   const amopt::fft::RealSpectrum kspec = amopt::conv::kernel_spectrum(
       kernel, amopt::conv::correlate_fft_size(out.size(), kernel.size()),
-      /*reversed=*/true, ws);
-  amopt::conv::correlate_valid(in, kspec, out, ws);  // warm-up
+      /*reversed=*/true);
+  amopt::conv::correlate_valid(in, kspec, out);  // warm-up
   for (auto _ : state) {
-    amopt::conv::correlate_valid(in, kspec, out, ws);
+    amopt::conv::correlate_valid(in, kspec, out);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -274,10 +270,9 @@ void BM_PolyPowerFftPath(benchmark::State& state, amopt::simd::Level lvl) {
   const LevelScope scope(lvl);
   const std::uint64_t h = static_cast<std::uint64_t>(state.range(0));
   const std::vector<double> taps{0.24, 0.50, 0.25};
-  amopt::conv::Workspace ws;
-  (void)amopt::poly::power_fft(taps, h, ws);  // warm-up
+  (void)amopt::poly::power_fft(taps, h);  // warm-up
   for (auto _ : state) {
-    auto k = amopt::poly::power_fft(taps, h, ws);
+    auto k = amopt::poly::power_fft(taps, h);
     benchmark::DoNotOptimize(k.data());
   }
 }
@@ -290,7 +285,6 @@ void BM_PolyPowerFftTwoTransformPath(benchmark::State& state,
   const LevelScope scope(lvl);
   const std::uint64_t h = static_cast<std::uint64_t>(state.range(0));
   const std::vector<double> taps{0.24, 0.50, 0.25};
-  amopt::conv::Workspace ws;
   const auto clamp = [](std::span<double> k) {
     double peak = 0.0;
     for (double x : k) peak = std::max(peak, std::abs(x));
@@ -300,14 +294,16 @@ void BM_PolyPowerFftTwoTransformPath(benchmark::State& state,
       if (x < 0.0) x = 0.0;
     }
   };
-  std::vector<double> base_copy;
+  std::vector<double> result_buf, base_buf, stage_buf, base_copy;
   const auto run = [&] {
     const std::size_t d = taps.size() - 1;
     const std::size_t max_len = d * static_cast<std::size_t>(h) + 1;
-    std::span<double> result = ws.acc(max_len);
-    std::span<double> base = ws.tmp(max_len);
-    std::span<double> stage = ws.aux(max_len);
+    result_buf.resize(max_len);
+    base_buf.resize(max_len);
+    stage_buf.resize(max_len);
     base_copy.resize(max_len);
+    const std::span<double> result(result_buf), base(base_buf),
+        stage(stage_buf);
     std::size_t nr = 1, nb = taps.size();
     result[0] = 1.0;
     std::copy(taps.begin(), taps.end(), base.begin());
@@ -316,7 +312,7 @@ void BM_PolyPowerFftTwoTransformPath(benchmark::State& state,
       if (e & 1u) {
         const std::size_t len = nr + nb - 1;
         amopt::conv::convolve_full(result.first(nr), base.first(nb),
-                                   stage.first(len), ws);
+                                   stage.first(len));
         std::copy_n(stage.begin(), len, result.begin());
         nr = len;
         clamp(result.first(nr));
@@ -327,7 +323,7 @@ void BM_PolyPowerFftTwoTransformPath(benchmark::State& state,
         std::copy_n(base.begin(), nb, base_copy.begin());
         amopt::conv::convolve_full(base.first(nb),
                                    std::span<const double>(base_copy).first(nb),
-                                   stage.first(len), ws);
+                                   stage.first(len));
         std::copy_n(stage.begin(), len, base.begin());
         nb = len;
         clamp(base.first(nb));
@@ -353,14 +349,13 @@ void BM_CorrelateSpectralWidePadPath(benchmark::State& state,
   const auto in = random_real(2 * n);
   const auto kernel = random_real(n);
   std::vector<double> out(n + 1);
-  amopt::conv::Workspace ws;
   const std::size_t wide =
       amopt::next_pow2(out.size() + 2 * (kernel.size() - 1));
   const amopt::fft::RealSpectrum kspec =
-      amopt::conv::kernel_spectrum(kernel, wide, /*reversed=*/true, ws);
-  amopt::conv::correlate_valid(in, kspec, out, ws);  // warm-up
+      amopt::conv::kernel_spectrum(kernel, wide, /*reversed=*/true);
+  amopt::conv::correlate_valid(in, kspec, out);  // warm-up
   for (auto _ : state) {
-    amopt::conv::correlate_valid(in, kspec, out, ws);
+    amopt::conv::correlate_valid(in, kspec, out);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -418,10 +413,9 @@ void BM_KernelPowersUnsharedPath(benchmark::State& state,
   const LevelScope scope(lvl);
   const std::uint64_t h = static_cast<std::uint64_t>(state.range(0));
   const std::vector<double> taps{0.24, 0.50, 0.25};
-  amopt::conv::Workspace ws;
   for (auto _ : state) {
     for (std::uint64_t step = h; step >= 1; step /= 2) {
-      auto k = amopt::poly::power_fft(taps, step, ws);
+      auto k = amopt::poly::power_fft(taps, step);
       benchmark::DoNotOptimize(k.data());
     }
   }

@@ -1,12 +1,10 @@
 #include "amopt/core/lattice_solver.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 
 #include "amopt/common/assert.hpp"
 #include "amopt/core/task_pool.hpp"
-#include "amopt/fft/convolution.hpp"
 #include "amopt/metrics/counters.hpp"
 #include "amopt/simd/kernels.hpp"
 
@@ -22,10 +20,6 @@ constexpr std::int64_t kMinWindowForRecursion = 4;
 /// leaf strips are only O(g * base_case) wide, so this must stay small for
 /// the fusion to engage at all.
 constexpr std::int64_t kFuseMinInterior = 8;
-
-/// Green-extension cells per convolution (g - 1) fit here for every
-/// production stencil (g <= 2); wider stencils spill to a heap vector.
-constexpr std::size_t kInlineTailCap = 8;
 
 }  // namespace
 
@@ -282,29 +276,20 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
     return q - d - (g_ - 1) * (d - 1);
   };
 
-  // Builds the g-1 green-extension cells of row `i_row` past boundary `q`
-  // into `buf` (heap spill for exotic stencils) and returns them as the
-  // correlation's split tail — the red prefix itself is never copied.
-  std::array<double, kInlineTailCap> tail1_buf, tail2_buf;
-  std::vector<double> tail_spill;
-  const auto green_tail = [&](std::int64_t i_row, std::int64_t q,
-                              std::array<double, kInlineTailCap>& buf)
-      -> std::span<const double> {
-    const std::int64_t n_ext = g_ - 1;
-    std::span<double> t;
-    if (n_ext <= static_cast<std::int64_t>(kInlineTailCap)) {
-      t = std::span<double>(buf.data(), static_cast<std::size_t>(n_ext));
-    } else {
-      tail_spill.resize(static_cast<std::size_t>(n_ext));
-      t = tail_spill;
-    }
-    for (std::int64_t e = 1; e <= n_ext; ++e)
-      t[static_cast<std::size_t>(e - 1)] = green_.value(i_row, q + e);
-    return t;
-  };
-
   ScratchStack::Frame frame(thread_scratch());
   std::span<double> mid = frame.alloc(in.size());
+
+  // Builds the g-1 green-extension cells of row `i_row` past boundary `q`
+  // in this level's frame and returns them as the correlation's split
+  // tail — the red prefix itself is never copied.
+  const auto green_tail = [&](std::int64_t i_row,
+                              std::int64_t q) -> std::span<const double> {
+    const std::span<double> t =
+        frame.alloc(static_cast<std::size_t>(g_ - 1));
+    for (std::size_t e = 0; e < t.size(); ++e)
+      t[e] = green_.value(i_row, q + 1 + static_cast<std::int64_t>(e));
+    return t;
+  };
 
   // ---- first half: row i0 -> row i0 - h --------------------------------
   std::int64_t q_mid = jL - 1;
@@ -312,14 +297,13 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
   if (jC >= jL) {
     // The cone reads g-1 green cells past the red prefix; they ride as the
     // correlation's split tail.
-    const std::span<const double> tail = green_tail(i0, q0, tail1_buf);
+    const std::span<const double> tail = green_tail(i0, q0);
 
     std::int64_t q_strip = jL - 1;
     const bool spawn = cfg_.parallel && h >= kTaskCutoff;
     const auto conv_part = [&] {
       kernels_->correlate(in, tail, static_cast<std::uint64_t>(h),
-                          mid.subspan(0, static_cast<std::size_t>(jC - jL + 1)),
-                          conv::thread_workspace());
+                          mid.subspan(0, static_cast<std::size_t>(jC - jL + 1)));
     };
     const auto strip_part = [&] {
       q_strip = solve(i0, jC + 1, q0, h,
@@ -348,15 +332,14 @@ std::int64_t LatticeSolver::solve(std::int64_t i0, std::int64_t jL,
       mid.data(),
       static_cast<std::size_t>(std::max<std::int64_t>(q_mid - jL + 1, 0)));
   if (jC2 >= jL) {
-    const std::span<const double> tail = green_tail(im, q_mid, tail2_buf);
+    const std::span<const double> tail = green_tail(im, q_mid);
 
     std::int64_t q_strip = jL - 1;
     const bool spawn = cfg_.parallel && h >= kTaskCutoff;
     const auto conv_part = [&] {
       kernels_->correlate(
           mid_in, tail, static_cast<std::uint64_t>(h),
-          out.subspan(0, static_cast<std::size_t>(jC2 - jL + 1)),
-          conv::thread_workspace());
+          out.subspan(0, static_cast<std::size_t>(jC2 - jL + 1)));
     };
     const auto strip_part = [&] {
       q_strip = solve(im, jC2 + 1, q_mid, h,

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "amopt/common/assert.hpp"
+#include "amopt/core/scratch.hpp"
 #include "amopt/metrics/counters.hpp"
 #include "amopt/simd/kernels.hpp"
 
@@ -80,109 +81,123 @@ void count_fft_ops(std::size_t n, std::uint64_t transforms_of_half,
   return next_pow2(std::max({full - skip, skip + out_len, na, nb}));
 }
 
+/// Lease one real-transform buffer of size n from `frame`: n + 2 doubles,
+/// the n/2+1 bins of a spectrum. The padded operand is staged in its low n
+/// doubles and transformed in place (RealPlan::forward and inverse accept
+/// that aliasing), so an operand and its spectrum share one span.
+[[nodiscard]] std::span<double> lease_spectrum(core::ScratchStack::Frame& frame,
+                                               std::size_t n) {
+  return frame.alloc(n + 2);
+}
+
+[[nodiscard]] cplx* bins_of(std::span<double> buf) {
+  return reinterpret_cast<cplx*>(buf.data());
+}
+
+/// Zero-pad concat(a, a_tail) into the first n doubles of `buf`.
+void stage(std::span<double> buf, std::size_t n, std::span<const double> a,
+           std::span<const double> a_tail) {
+  std::copy(a.begin(), a.end(), buf.begin());
+  std::copy(a_tail.begin(), a_tail.end(),
+            buf.begin() + static_cast<std::ptrdiff_t>(a.size()));
+  std::fill(buf.begin() + static_cast<std::ptrdiff_t>(a.size() + a_tail.size()),
+            buf.begin() + static_cast<std::ptrdiff_t>(n), 0.0);
+}
+
 /// Real-input cyclic convolution via R2C/C2R: both operands are zero-padded
-/// into size-n real buffers (n the minimal power of two that keeps the
-/// requested window alias-free, see cyclic_size()), transformed with two
-/// half-size complex FFTs, multiplied over the n/2+1 non-redundant bins,
-/// and brought back with one C2R. Writes out[j] = c[skip + j] for j in
-/// [0, out.size()), where c is the full convolution — `skip` folds the
-/// correlation shift into the copy-out. `reverse_b` packs b back-to-front
-/// (correlation = convolution with the reversed kernel) without
-/// materializing a reversed copy. The first operand is the logical
-/// concatenation of `a` and `a_tail` (the solvers' green-extension cells) —
-/// staging both pieces here yields the same padded buffer, hence the same
-/// bits, as a concatenated call.
+/// to size n (the minimal power of two that keeps the requested window
+/// alias-free, see cyclic_size()), transformed with two half-size complex
+/// FFTs, multiplied over the n/2+1 non-redundant bins, and brought back
+/// with one C2R. Writes out[j] = c[skip + j] for j in [0, out.size()),
+/// where c is the full convolution — `skip` folds the correlation shift
+/// into the copy-out. `reverse_b` packs b back-to-front (correlation =
+/// convolution with the reversed kernel) without materializing a reversed
+/// copy. The first operand is the logical concatenation of `a` and
+/// `a_tail` (the solvers' green-extension cells) — staging both pieces here
+/// yields the same padded buffer, hence the same bits, as a concatenated
+/// call.
 void real_convolve_into(std::span<const double> a,
                         std::span<const double> a_tail,
                         std::span<const double> b, bool reverse_b,
-                        std::size_t skip, std::span<double> out,
-                        Workspace& ws) {
+                        std::size_t skip, std::span<double> out) {
   const std::size_t na = a.size() + a_tail.size();
   const std::size_t full = na + b.size() - 1;
   const std::size_t n = cyclic_size(na, b.size(), skip, out.size());
   const fft::RealPlan& plan = fft::real_plan_for(n);
   const std::size_t nspec = plan.spectrum_size();
+  AMOPT_EXPECTS(skip + out.size() <= full);
 
-  std::span<double> ra = ws.real_a(n);
-  std::copy(a.begin(), a.end(), ra.begin());
-  std::copy(a_tail.begin(), a_tail.end(),
-            ra.begin() + static_cast<std::ptrdiff_t>(a.size()));
-  std::fill(ra.begin() + static_cast<std::ptrdiff_t>(na), ra.end(), 0.0);
-
-  std::span<cplx> sa = ws.spec_a(nspec);
+  core::ScratchStack::Frame frame(core::thread_scratch());
+  const std::span<double> ra = lease_spectrum(frame, n);
+  cplx* sa = bins_of(ra);
+  stage(ra, n, a, a_tail);
   // Aliased-operand fast path: convolving a signal with itself (the
-  // squaring rungs of poly::power_fft) needs only ONE forward transform —
+  // squaring rungs of poly::square_rung) needs only ONE forward transform —
   // the spectrum is squared in place. A second transform of the identical
   // input would reproduce these bins bit for bit, and csquare evaluates
   // cmul(sa, sa) on them (exactly at the scalar level, to the documented
   // last-ulp FMA tolerance on AVX-512), so the fast path is work elision,
   // not a numerical shortcut.
-  if (!reverse_b && a_tail.empty() && a.data() == b.data() &&
-      a.size() == b.size()) {
-    plan.forward(ra.data(), sa.data());
-    simd::kernels().csquare(sa.data(), nspec);
-    plan.inverse(sa.data(), ra.data());
-    AMOPT_EXPECTS(skip + out.size() <= full);
-    std::copy_n(ra.begin() + static_cast<std::ptrdiff_t>(skip), out.size(),
-                out.begin());
-    count_fft_ops(n, 2);
-    return;
-  }
-
-  std::span<double> rb = ws.real_b(n);
-  if (reverse_b) {
-    std::copy(b.rbegin(), b.rend(), rb.begin());
+  const bool square = !reverse_b && a_tail.empty() && a.data() == b.data() &&
+                      a.size() == b.size();
+  plan.forward(ra.data(), sa);
+  if (square) {
+    simd::kernels().csquare(sa, nspec);
   } else {
-    std::copy(b.begin(), b.end(), rb.begin());
+    const std::span<double> rb = lease_spectrum(frame, n);
+    if (reverse_b) {
+      std::copy(b.rbegin(), b.rend(), rb.begin());
+      std::fill(rb.begin() + static_cast<std::ptrdiff_t>(b.size()),
+                rb.begin() + static_cast<std::ptrdiff_t>(n), 0.0);
+    } else {
+      stage(rb, n, b, {});
+    }
+    plan.forward(rb.data(), bins_of(rb));
+    simd::kernels().cmul(sa, bins_of(rb), nspec);
   }
-  std::fill(rb.begin() + static_cast<std::ptrdiff_t>(b.size()), rb.end(), 0.0);
-
-  std::span<cplx> sb = ws.spec_b(nspec);
-  plan.forward(ra.data(), sa.data());
-  plan.forward(rb.data(), sb.data());
-  simd::kernels().cmul(sa.data(), sb.data(), nspec);
-  plan.inverse(sa.data(), ra.data());
-
-  AMOPT_EXPECTS(skip + out.size() <= full);
+  plan.inverse(sa, ra.data());
   std::copy_n(ra.begin() + static_cast<std::ptrdiff_t>(skip), out.size(),
               out.begin());
-  count_fft_ops(n, 3);
+  count_fft_ops(n, square ? 2 : 3);
 }
 
 /// The consumer half of the spectral overloads: transform concat(a, a_tail)
-/// zero-padded to `kspec.n`, multiply by the precomputed kernel bins,
-/// invert, copy out from `skip`. Identical arithmetic to real_convolve_into
-/// with the kernel transform hoisted out.
+/// zero-padded to `n`, multiply by the precomputed kernel bins `kbins` of a
+/// length-`klen` kernel, invert, copy out from `skip`. Identical arithmetic
+/// to real_convolve_into with the kernel transform hoisted out.
 void real_convolve_spec_into(std::span<const double> a,
                              std::span<const double> a_tail,
-                             const fft::RealSpectrum& kspec, std::size_t skip,
-                             std::span<double> out, Workspace& ws) {
+                             const cplx* kbins, std::size_t n,
+                             std::size_t klen, std::size_t skip,
+                             std::span<double> out) {
   const std::size_t na = a.size() + a_tail.size();
-  const std::size_t full = na + kspec.klen - 1;
-  const std::size_t n = kspec.n;
+  const std::size_t full = na + klen - 1;
   // The spectrum's size is the caller's choice; any n that keeps the read
   // window alias-free is accepted (n >= full remains valid over-padding).
-  AMOPT_EXPECTS(n >= na && n >= kspec.klen);
+  AMOPT_EXPECTS(n >= na && n >= klen);
   AMOPT_EXPECTS(skip + out.size() <= n);
   AMOPT_EXPECTS(full <= n + skip);
-  const fft::RealPlan& plan = fft::real_plan_for(n);
-  const std::size_t nspec = plan.spectrum_size();
-  AMOPT_EXPECTS(kspec.bins.size() >= nspec);
-
-  std::span<double> ra = ws.real_a(n);
-  std::copy(a.begin(), a.end(), ra.begin());
-  std::copy(a_tail.begin(), a_tail.end(),
-            ra.begin() + static_cast<std::ptrdiff_t>(a.size()));
-  std::fill(ra.begin() + static_cast<std::ptrdiff_t>(na), ra.end(), 0.0);
-  std::span<cplx> sa = ws.spec_a(nspec);
-  plan.forward(ra.data(), sa.data());
-  simd::kernels().cmul(sa.data(), kspec.bins.data(), nspec);
-  plan.inverse(sa.data(), ra.data());
-
   AMOPT_EXPECTS(skip + out.size() <= full);
+  const fft::RealPlan& plan = fft::real_plan_for(n);
+
+  core::ScratchStack::Frame frame(core::thread_scratch());
+  const std::span<double> ra = lease_spectrum(frame, n);
+  stage(ra, n, a, a_tail);
+  plan.forward(ra.data(), bins_of(ra));
+  simd::kernels().cmul(bins_of(ra), kbins, plan.spectrum_size());
+  plan.inverse(bins_of(ra), ra.data());
   std::copy_n(ra.begin() + static_cast<std::ptrdiff_t>(skip), out.size(),
               out.begin());
   count_fft_ops(n, 2);
+}
+
+void real_convolve_spec_into(std::span<const double> a,
+                             std::span<const double> a_tail,
+                             const fft::RealSpectrum& kspec, std::size_t skip,
+                             std::span<double> out) {
+  AMOPT_EXPECTS(kspec.bins.size() >= kspec.spectrum_size());
+  real_convolve_spec_into(a, a_tail, kspec.bins.data(), kspec.n, kspec.klen,
+                          skip, out);
 }
 
 /// Trim the logical input concat(main, tail) to its first `needed` elements
@@ -211,11 +226,6 @@ void convolve_full_direct_into(std::span<const double> a,
 
 }  // namespace
 
-Workspace& thread_workspace() {
-  thread_local Workspace ws;
-  return ws;
-}
-
 std::vector<double> convolve_full_direct(std::span<const double> a,
                                          std::span<const double> b) {
   if (a.empty() || b.empty()) return {};
@@ -239,7 +249,7 @@ void correlate_valid_direct(std::span<const double> in,
 }
 
 void convolve_full(std::span<const double> a, std::span<const double> b,
-                   std::span<double> out, Workspace& ws, Policy policy) {
+                   std::span<double> out, Policy policy) {
   if (a.empty() || b.empty()) {
     AMOPT_EXPECTS(out.empty());
     return;
@@ -249,73 +259,56 @@ void convolve_full(std::span<const double> a, std::span<const double> b,
     convolve_full_direct_into(a, b, out);
     return;
   }
-  real_convolve_into(a, {}, b, /*reverse_b=*/false, /*skip=*/0, out, ws);
+  real_convolve_into(a, {}, b, /*reverse_b=*/false, /*skip=*/0, out);
 }
 
 std::vector<double> convolve_full(std::span<const double> a,
                                   std::span<const double> b, Policy policy) {
   if (a.empty() || b.empty()) return {};
   std::vector<double> c(a.size() + b.size() - 1);
-  convolve_full(a, b, c, thread_workspace(), policy);
+  convolve_full(a, b, c, policy);
   return c;
 }
 
 void correlate_valid(std::span<const double> in,
                      std::span<const double> kernel, std::span<double> out,
-                     Workspace& ws, Policy policy) {
+                     Policy policy) {
+  correlate_valid(in, {}, kernel, out, policy);
+}
+
+void correlate_valid(std::span<const double> main, std::span<const double> tail,
+                     std::span<const double> kernel, std::span<double> out,
+                     Policy policy) {
   AMOPT_EXPECTS(!kernel.empty());
   if (out.empty()) return;
-  AMOPT_EXPECTS(in.size() >= out.size() + kernel.size() - 1);
-  if (use_direct(in.size(), kernel.size(), policy)) {
-    correlate_valid_direct(in, kernel, out);
-    return;
-  }
+  const std::size_t in_len = main.size() + tail.size();
+  AMOPT_EXPECTS(in_len >= out.size() + kernel.size() - 1);
   // Correlation = convolution with the reversed kernel, shifted so that
   // output index 0 lands on full-convolution index kernel.size()-1; the
   // reversal happens while packing the transform input (no reversed copy)
   // and the shift while copying out. Trim the input to the prefix actually
   // referenced to keep the transform small.
-  const std::size_t needed_in = out.size() + kernel.size() - 1;
-  real_convolve_into(in.subspan(0, needed_in), {}, kernel, /*reverse_b=*/true,
-                     /*skip=*/kernel.size() - 1, out, ws);
-}
-
-void correlate_valid(std::span<const double> in,
-                     std::span<const double> kernel, std::span<double> out,
-                     Policy policy) {
-  correlate_valid(in, kernel, out, thread_workspace(), policy);
-}
-
-void correlate_valid(std::span<const double> main, std::span<const double> tail,
-                     std::span<const double> kernel, std::span<double> out,
-                     Workspace& ws, Policy policy) {
-  if (tail.empty()) {  // degenerate split: exactly the concatenated call
-    correlate_valid(main, kernel, out, ws, policy);
-    return;
-  }
-  AMOPT_EXPECTS(!kernel.empty());
-  if (out.empty()) return;
-  const std::size_t in_len = main.size() + tail.size();
-  AMOPT_EXPECTS(in_len >= out.size() + kernel.size() - 1);
   std::span<const double> m = main, t = tail;
   trim_split(m, t, out.size() + kernel.size() - 1);
   if (use_direct(in_len, kernel.size(), policy)) {
-    // Small-size crossover: materialize the concatenation in workspace
-    // staging and run the ordinary contiguous sweep. The copy is bounded by
-    // the direct-path cost cap, and it keeps the sweep's vector/scalar
+    if (t.empty()) {
+      correlate_valid_direct(m, kernel, out);
+      return;
+    }
+    // Small-size crossover: materialize the concatenation in arena staging
+    // and run the ordinary contiguous sweep. The copy is bounded by the
+    // direct-path cost cap, and it keeps the sweep's vector/scalar
     // partition — hence every bit on FMA dispatch levels — identical to a
     // contiguous-input call (the zero-copy win belongs to the FFT path,
     // where the operands are large).
-    const std::size_t needed = m.size() + t.size();
-    std::span<double> cat = ws.cat(needed);
-    std::copy(m.begin(), m.end(), cat.begin());
-    std::copy(t.begin(), t.end(),
-              cat.begin() + static_cast<std::ptrdiff_t>(m.size()));
+    core::ScratchStack::Frame frame(core::thread_scratch());
+    const std::span<double> cat = frame.alloc(m.size() + t.size());
+    stage(cat, cat.size(), m, t);
     correlate_valid_direct(cat, kernel, out);
     return;
   }
   real_convolve_into(m, t, kernel, /*reverse_b=*/true,
-                     /*skip=*/kernel.size() - 1, out, ws);
+                     /*skip=*/kernel.size() - 1, out);
 }
 
 bool correlate_prefers_fft(std::size_t out_len, std::size_t kernel_len,
@@ -339,68 +332,73 @@ std::size_t correlate_fft_size(std::size_t out_len, std::size_t kernel_len) {
 }
 
 fft::RealSpectrum kernel_spectrum(std::span<const double> kernel,
-                                  std::size_t n, bool reversed,
-                                  Workspace& ws) {
+                                  std::size_t n, bool reversed) {
   AMOPT_EXPECTS(!kernel.empty());
   AMOPT_EXPECTS(n >= kernel.size());
   fft::RealSpectrum spec;
-  fft::real_plan_for(n).spectrum(kernel, reversed, ws.real_b(n), spec);
+  fft::real_plan_for(n).spectrum(kernel, reversed, spec);
   count_fft_ops(n, 1, /*pointwise=*/false);
   return spec;
 }
 
 void correlate_valid(std::span<const double> in,
-                     const fft::RealSpectrum& kspec, std::span<double> out,
-                     Workspace& ws) {
-  AMOPT_EXPECTS(!kspec.empty() && kspec.reversed);
-  if (out.empty()) return;
-  AMOPT_EXPECTS(in.size() >= out.size() + kspec.klen - 1);
-  const std::size_t needed_in = out.size() + kspec.klen - 1;
-  real_convolve_spec_into(in.subspan(0, needed_in), {}, kspec,
-                          /*skip=*/kspec.klen - 1, out, ws);
+                     const fft::RealSpectrum& kspec, std::span<double> out) {
+  correlate_valid(in, {}, kspec, out);
 }
 
 void correlate_valid(std::span<const double> main, std::span<const double> tail,
-                     const fft::RealSpectrum& kspec, std::span<double> out,
-                     Workspace& ws) {
+                     const fft::RealSpectrum& kspec, std::span<double> out) {
   AMOPT_EXPECTS(!kspec.empty() && kspec.reversed);
   if (out.empty()) return;
   AMOPT_EXPECTS(main.size() + tail.size() >= out.size() + kspec.klen - 1);
   std::span<const double> m = main, t = tail;
   trim_split(m, t, out.size() + kspec.klen - 1);
-  real_convolve_spec_into(m, t, kspec, /*skip=*/kspec.klen - 1, out, ws);
+  real_convolve_spec_into(m, t, kspec, /*skip=*/kspec.klen - 1, out);
 }
 
 void convolve_full(std::span<const double> a, const fft::RealSpectrum& bspec,
-                   std::span<double> out, Workspace& ws) {
+                   std::span<double> out) {
   AMOPT_EXPECTS(!bspec.empty() && !bspec.reversed);
   if (a.empty()) {
     AMOPT_EXPECTS(out.empty());
     return;
   }
   AMOPT_EXPECTS(out.size() == a.size() + bspec.klen - 1);
-  real_convolve_spec_into(a, {}, bspec, /*skip=*/0, out, ws);
+  real_convolve_spec_into(a, {}, bspec, /*skip=*/0, out);
 }
 
-void convolve_many(std::span<const std::span<const double>> inputs,
-                   const fft::RealSpectrum& kspec,
-                   std::span<std::vector<double>> outs, Workspace& ws) {
-  AMOPT_EXPECTS(outs.size() == inputs.size());
-  AMOPT_EXPECTS(!kspec.empty() && !kspec.reversed);
+namespace {
+
+/// Full convolutions of every input against one kernel's spectrum bins
+/// (size-n transform of a length-klen kernel); outs[i] is resized.
+void convolve_each(std::span<const std::span<const double>> inputs,
+                   const cplx* kbins, std::size_t n, std::size_t klen,
+                   std::span<std::vector<double>> outs) {
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     if (inputs[i].empty()) {
       outs[i].clear();
       continue;
     }
-    outs[i].resize(inputs[i].size() + kspec.klen - 1);
-    real_convolve_spec_into(inputs[i], {}, kspec, /*skip=*/0, outs[i], ws);
+    outs[i].resize(inputs[i].size() + klen - 1);
+    real_convolve_spec_into(inputs[i], {}, kbins, n, klen, /*skip=*/0,
+                            outs[i]);
   }
+}
+
+}  // namespace
+
+void convolve_many(std::span<const std::span<const double>> inputs,
+                   const fft::RealSpectrum& kspec,
+                   std::span<std::vector<double>> outs) {
+  AMOPT_EXPECTS(outs.size() == inputs.size());
+  AMOPT_EXPECTS(!kspec.empty() && !kspec.reversed);
+  AMOPT_EXPECTS(kspec.bins.size() >= kspec.spectrum_size());
+  convolve_each(inputs, kspec.bins.data(), kspec.n, kspec.klen, outs);
 }
 
 void convolve_many(std::span<const std::span<const double>> inputs,
                    std::span<const double> kernel,
-                   std::span<std::vector<double>> outs, Workspace& ws,
-                   Policy policy) {
+                   std::span<std::vector<double>> outs, Policy policy) {
   AMOPT_EXPECTS(outs.size() == inputs.size());
   AMOPT_EXPECTS(!kernel.empty());
   if (inputs.empty()) return;
@@ -419,43 +417,21 @@ void convolve_many(std::span<const std::span<const double>> inputs,
         continue;
       }
       outs[i].resize(inputs[i].size() + kernel.size() - 1);
-      convolve_full(inputs[i], kernel, outs[i], ws, policy);
+      convolve_full(inputs[i], kernel, outs[i], policy);
     }
     return;
   }
 
   // One FFT size covers every item: the cyclic length n exceeds the largest
-  // full linear length, so shorter items simply see extra zero padding.
+  // full linear length, so shorter items simply see extra zero padding. The
+  // kernel is transformed once, in place in its arena span.
   const std::size_t n = next_pow2(max_na + kernel.size() - 1);
-  const fft::RealPlan& plan = fft::real_plan_for(n);
-  const std::size_t nspec = plan.spectrum_size();
-
-  std::span<double> rb = ws.real_b(n);
-  std::copy(kernel.begin(), kernel.end(), rb.begin());
-  std::fill(rb.begin() + static_cast<std::ptrdiff_t>(kernel.size()), rb.end(),
-            0.0);
-  std::span<cplx> sb = ws.spec_b(nspec);
-  plan.forward(rb.data(), sb.data());  // shared kernel spectrum
-
-  std::span<double> ra = ws.real_a(n);
-  std::span<cplx> sa = ws.spec_a(nspec);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const std::span<const double> a = inputs[i];
-    if (a.empty()) {
-      outs[i].clear();
-      continue;
-    }
-    std::copy(a.begin(), a.end(), ra.begin());
-    std::fill(ra.begin() + static_cast<std::ptrdiff_t>(a.size()), ra.end(),
-              0.0);
-    plan.forward(ra.data(), sa.data());
-    simd::kernels().cmul(sa.data(), sb.data(), nspec);
-    plan.inverse(sa.data(), ra.data());
-    outs[i].resize(a.size() + kernel.size() - 1);
-    std::copy_n(ra.begin(), outs[i].size(), outs[i].begin());
-    count_fft_ops(n, 2);  // per-item transforms + pointwise product
-  }
+  core::ScratchStack::Frame frame(core::thread_scratch());
+  const std::span<double> kb = lease_spectrum(frame, n);
+  stage(kb, n, kernel, {});
+  fft::real_plan_for(n).forward(kb.data(), bins_of(kb));
   count_fft_ops(n, 1, /*pointwise=*/false);  // the one shared kernel transform
+  convolve_each(inputs, bins_of(kb), n, kernel.size(), outs);
 }
 
 }  // namespace amopt::conv

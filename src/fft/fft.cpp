@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "amopt/common/assert.hpp"
+#include "amopt/core/scratch.hpp"
 #include "amopt/simd/kernels.hpp"
 
 namespace amopt::fft {
@@ -25,22 +26,6 @@ constexpr std::size_t kSimdThreshold = 32;
   std::size_t l = 0;
   while ((std::size_t{1} << l) < n) ++l;
   return l;
-}
-
-/// Per-thread split real/imag scratch for the SoA transform pipeline.
-/// Grow-only and 64-byte aligned, so every vector load on the fast path is
-/// an unmasked aligned load; reused across calls like conv::Workspace.
-struct SoaScratch {
-  aligned_vector<double> re, im;
-};
-
-[[nodiscard]] SoaScratch& soa_scratch(std::size_t n) {
-  thread_local SoaScratch s;
-  if (s.re.size() < n) {
-    s.re.resize(n);
-    s.im.resize(n);
-  }
-  return s;
 }
 
 }  // namespace
@@ -183,9 +168,12 @@ void Plan::transform(cplx* data, bool inverse) const {
 
 void Plan::transform_simd(cplx* data, bool inverse, simd::Level lvl) const {
   const simd::Kernels& kn = simd::kernels(lvl);
-  SoaScratch& scratch = soa_scratch(n_);
-  double* re = scratch.re.data();
-  double* im = scratch.im.data();
+  // Split real/imag rows leased from the thread's scratch arena: 64-byte
+  // aligned (n_ >= kSimdThreshold keeps im on a cache line too), so every
+  // vector load on the fast path is an unmasked aligned load.
+  core::ScratchStack::Frame frame(core::thread_scratch());
+  double* re = frame.alloc(2 * n_).data();
+  double* im = re + n_;
   // Bit-reversal fused into the split: one gathered pass instead of the
   // scalar path's swap pass + copy pass.
   kn.deinterleave_rev(data, bitrev_.data(), re, im, n_);
@@ -237,8 +225,9 @@ void RealPlan::forward(const double* in, cplx* spec) const {
   // The pairwise packing IS the complex memory layout, so the "pack" is one
   // flat copy at memory bandwidth instead of a scalar pair loop.
   cplx* z = spec;
-  std::memcpy(static_cast<void*>(z), static_cast<const void*>(in),
-              m_ * sizeof(cplx));
+  if (static_cast<const void*>(in) != z)
+    std::memcpy(static_cast<void*>(z), static_cast<const void*>(in),
+                m_ * sizeof(cplx));
   half_->forward(z);
 
   // Untangle: with Xe/Xo the DFTs of the even/odd samples,
@@ -261,8 +250,9 @@ void RealPlan::inverse(cplx* spec, double* out) const {
     return;
   }
   if (n_ == 2) {
-    out[0] = 0.5 * (spec[0].real() + spec[1].real());
-    out[1] = 0.5 * (spec[0].real() - spec[1].real());
+    const double x0 = spec[0].real(), x1 = spec[1].real();  // out may alias
+    out[0] = 0.5 * (x0 + x1);
+    out[1] = 0.5 * (x0 - x1);
     return;
   }
   // Re-tangle the packed half-size spectrum: Z[k] = Xe[k] + i Xo[k] with
@@ -275,28 +265,29 @@ void RealPlan::inverse(cplx* spec, double* out) const {
   spec[m_ / 2] = std::conj(spec[m_ / 2]);
   half_->inverse(spec);
   // The unpack is the same layout identity as forward's pack: one flat copy.
-  std::memcpy(static_cast<void*>(out), static_cast<const void*>(spec),
-              m_ * sizeof(cplx));
+  if (static_cast<void*>(out) != spec)
+    std::memcpy(static_cast<void*>(out), static_cast<const void*>(spec),
+                m_ * sizeof(cplx));
 }
 
 void RealPlan::spectrum(std::span<const double> signal, bool reversed,
-                        std::span<double> pad, RealSpectrum& spec) const {
+                        RealSpectrum& spec) const {
   AMOPT_EXPECTS(signal.size() <= n_);
-  AMOPT_EXPECTS(pad.size() >= n_);
-  // Pack exactly like the convolution paths (reversal happens while
-  // staging, no reversed copy), so the bins match the in-call transform
-  // bit for bit.
+  spec.n = n_;
+  spec.klen = signal.size();
+  spec.reversed = reversed;
+  spec.bins.resize(spectrum_size());
+  // Pack exactly like the convolution paths — into the low n doubles of the
+  // bins themselves, reversing while staging — so the in-place forward
+  // transform yields the bins the in-call transform would, bit for bit.
+  const std::span<double> pad(reinterpret_cast<double*>(spec.bins.data()), n_);
   if (reversed) {
     std::copy(signal.rbegin(), signal.rend(), pad.begin());
   } else {
     std::copy(signal.begin(), signal.end(), pad.begin());
   }
   std::fill(pad.begin() + static_cast<std::ptrdiff_t>(signal.size()),
-            pad.begin() + static_cast<std::ptrdiff_t>(n_), 0.0);
-  spec.n = n_;
-  spec.klen = signal.size();
-  spec.reversed = reversed;
-  spec.bins.resize(spectrum_size());
+            pad.end(), 0.0);
   forward(pad.data(), spec.bins.data());
 }
 

@@ -1,11 +1,16 @@
 #pragma once
-// S5b: the solvers' scratch arena — per-task frames over per-thread blocks.
+// S5b: the library's one scratch arena — per-task frames over per-thread
+// blocks.
 //
 // Every level of the trapezoid recursion needs a handful of short-lived row
-// buffers (`mid`, the base case's ping-pong rows, the FDM assembly row).
-// Allocating them from the heap makes the descent allocation-bound: the
-// recursion performs O(T) vector constructions per pricing, each paying
-// malloc/free plus a cold-page zero-fill. `ScratchStack` replaces that with
+// buffers (`mid`, its green tail, the base case's ping-pong rows), and every
+// FFT correlation below it needs padded operands, spectra and the complex
+// transform's split rows; kernel powers need their squaring accumulators.
+// All of them are frame leases from here, so `capacity()` is a thread's
+// whole scratch footprint. Allocating them from the heap makes the descent
+// allocation-bound: the recursion performs O(T) vector constructions per
+// pricing, each paying malloc/free plus a cold-page zero-fill.
+// `ScratchStack` replaces that with
 // grow-only, 64-byte-aligned storage: a `Frame` leases blocks from its
 // thread's arena on entry to a recursion level and returns them on exit, so
 // a warmed-up arena serves an entire descent without touching the heap,

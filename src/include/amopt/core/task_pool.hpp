@@ -43,11 +43,12 @@
 // caller's own nesting depth, so a pool join made INSIDE that leg by an
 // external caller would pop the injection queue, which can hand back the
 // sibling leg of the very fork. That leg would then run nested in the
-// half-done inline leg and share its thread-local scratch (conv::Workspace,
-// the FFT's SoA buffers) and its held locks. Hence nothing under an inline
-// leg waits on a pool join: transforms, kernel builds and correlations run
-// serially on the thread that calls them, and the solver's invoke2 is the
-// only intra-solve fork.
+// half-done inline leg and inherit its held locks. (Its scratch would be
+// safe: every buffer is a core::ScratchStack frame lease, and no two live
+// frames share a span.) Hence nothing under an inline leg waits on a pool
+// join: transforms, kernel builds and correlations run serially on the
+// thread that calls them, and the solver's invoke2 is the only intra-solve
+// fork.
 
 #include <atomic>
 #include <condition_variable>

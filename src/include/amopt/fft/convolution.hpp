@@ -13,12 +13,12 @@
 // pointwise product over the n/2+1 non-redundant bins, one C2R back —
 // 3 half-size complex transforms).
 //
-// All FFT paths draw their zero-padded buffers and spectra from a
-// `Workspace` arena: buffers grow monotonically and are reused, so repeated
-// convolutions of bounded size perform no heap allocation after warm-up.
-// Every entry point has a span-based overload taking an explicit Workspace
-// (fully allocation-free) and a convenience overload that uses a
-// thread-local arena.
+// Every FFT path leases its scratch from a core::ScratchStack frame on
+// the calling thread's arena: each padded operand is staged in the low half
+// of the (n+2)-double span that then holds its n/2+1 bins, and the complex
+// transform's split rows come from a nested frame. Frames are LIFO leases,
+// so nested calls on one thread never share a buffer, and a warm arena
+// serves repeated convolutions of bounded size without touching the heap.
 //
 // Two transform-count reductions on top of that (both bit-identical to the
 // baseline path at a fixed dispatch level):
@@ -50,48 +50,6 @@ struct Policy {
   Path path = Path::automatic;
 };
 
-/// Grow-only scratch arena for the FFT convolution paths. One Workspace
-/// serves one thread at a time (no internal locking); the library keeps one
-/// per thread via `thread_workspace()`. Buffers never shrink, so a warmed-up
-/// workspace makes every conv call below its high-water mark allocation-free.
-class Workspace {
- public:
-  /// Zero-padded real operand buffers and their spectra. Callers outside
-  /// the conv layer should not need these directly.
-  [[nodiscard]] std::span<double> real_a(std::size_t n) { return grow(ra_, n); }
-  [[nodiscard]] std::span<double> real_b(std::size_t n) { return grow(rb_, n); }
-  /// Staging for the split-operand correlation's DIRECT path (the small-
-  /// size crossover), where the concatenation is materialized so the sweep
-  /// partition — and therefore every bit on FMA dispatch levels — matches
-  /// a contiguous-input call exactly.
-  [[nodiscard]] std::span<double> cat(std::size_t n) { return grow(cat_, n); }
-  [[nodiscard]] std::span<fft::cplx> spec_a(std::size_t n) {
-    return grow(sa_, n);
-  }
-  [[nodiscard]] std::span<fft::cplx> spec_b(std::size_t n) {
-    return grow(sb_, n);
-  }
-  /// Caller-level staging buffers (used by poly::power for the square-and-
-  /// multiply accumulators); never touched by the conv entry points.
-  [[nodiscard]] std::span<double> acc(std::size_t n) { return grow(acc_, n); }
-  [[nodiscard]] std::span<double> tmp(std::size_t n) { return grow(tmp_, n); }
-  [[nodiscard]] std::span<double> aux(std::size_t n) { return grow(aux_, n); }
-
- private:
-  template <class V>
-  [[nodiscard]] std::span<typename V::value_type> grow(V& v, std::size_t n) {
-    if (v.size() < n) v.resize(n);
-    return {v.data(), n};
-  }
-
-  aligned_vector<double> ra_, rb_, cat_, acc_, tmp_, aux_;
-  aligned_vector<fft::cplx> sa_, sb_;
-};
-
-/// The calling thread's workspace (created on first use, never freed while
-/// the thread lives). The vector/legacy overloads below draw from it.
-[[nodiscard]] Workspace& thread_workspace();
-
 /// Full linear convolution, c[k] = sum_i a[i]*b[k-i]; result size
 /// a.size()+b.size()-1 (empty if either input is empty).
 [[nodiscard]] std::vector<double> convolve_full(std::span<const double> a,
@@ -101,18 +59,13 @@ class Workspace {
 /// Allocation-free variant: writes the full convolution into `out`, which
 /// must hold exactly a.size()+b.size()-1 elements and alias neither input.
 void convolve_full(std::span<const double> a, std::span<const double> b,
-                   std::span<double> out, Workspace& ws, Policy policy = {});
+                   std::span<double> out, Policy policy = {});
 
 /// Valid correlation (see file comment). Requires
 /// in.size() >= out.size() + kernel.size() - 1 and a non-empty kernel.
 void correlate_valid(std::span<const double> in,
                      std::span<const double> kernel, std::span<double> out,
                      Policy policy = {});
-
-/// Allocation-free variant of `correlate_valid` with an explicit arena.
-void correlate_valid(std::span<const double> in,
-                     std::span<const double> kernel, std::span<double> out,
-                     Workspace& ws, Policy policy = {});
 
 // ---------------------------------------------------- split-operand input
 //
@@ -123,20 +76,21 @@ void correlate_valid(std::span<const double> in,
 // the zero-padded transform buffer — the staged bytes are identical to the
 // concatenated call's, so results match it bit for bit at a fixed dispatch
 // level. The DIRECT path (small sizes, where the copy is cheap anyway)
-// materializes the concatenation into workspace staging so its sweep
+// materializes the concatenation into arena staging so its sweep
 // partition matches a contiguous-input call exactly — split and
 // concatenated calls are bit-identical on EVERY path at every level.
 
 /// `correlate_valid` over the logical input concat(main, tail). Requires
-/// main.size() + tail.size() >= out.size() + kernel.size() - 1.
+/// main.size() + tail.size() >= out.size() + kernel.size() - 1. The policy
+/// has no default: `correlate_valid(in, kernel, out, {})` must keep
+/// meaning the contiguous form.
 void correlate_valid(std::span<const double> main, std::span<const double> tail,
                      std::span<const double> kernel, std::span<double> out,
-                     Workspace& ws, Policy policy = {});
+                     Policy policy);
 
 /// Split-operand form of the spectral `correlate_valid` below.
 void correlate_valid(std::span<const double> main, std::span<const double> tail,
-                     const fft::RealSpectrum& kspec, std::span<double> out,
-                     Workspace& ws);
+                     const fft::RealSpectrum& kspec, std::span<double> out);
 
 // ------------------------------------------------------- spectral overloads
 //
@@ -175,8 +129,7 @@ void correlate_valid(std::span<const double> main, std::span<const double> tail,
 /// full linear length of the intended products). `reversed` selects the
 /// correlation layout consumed by the spectral `correlate_valid`.
 [[nodiscard]] fft::RealSpectrum kernel_spectrum(std::span<const double> kernel,
-                                                std::size_t n, bool reversed,
-                                                Workspace& ws);
+                                                std::size_t n, bool reversed);
 
 /// Valid correlation against a precomputed kernel spectrum (`kspec` built
 /// with reversed = true). Requires in.size() >= out.size() + kspec.klen - 1
@@ -185,20 +138,19 @@ void correlate_valid(std::span<const double> main, std::span<const double> tail,
 /// — and different sizes produce differently-rounded, not different,
 /// results). Always the FFT path — callers gate on `correlate_prefers_fft`.
 void correlate_valid(std::span<const double> in,
-                     const fft::RealSpectrum& kspec, std::span<double> out,
-                     Workspace& ws);
+                     const fft::RealSpectrum& kspec, std::span<double> out);
 
 /// Full convolution against a precomputed kernel spectrum (`bspec` built
 /// with reversed = false). `out` must hold a.size() + bspec.klen - 1
 /// elements and bspec.n must cover that full length.
 void convolve_full(std::span<const double> a, const fft::RealSpectrum& bspec,
-                   std::span<double> out, Workspace& ws);
+                   std::span<double> out);
 
 /// `convolve_many` against a precomputed kernel spectrum (reversed = false;
 /// kspec.n must cover the largest item's full linear length).
 void convolve_many(std::span<const std::span<const double>> inputs,
                    const fft::RealSpectrum& kspec,
-                   std::span<std::vector<double>> outs, Workspace& ws);
+                   std::span<std::vector<double>> outs);
 
 /// Batched full convolutions against one shared kernel: outs[i] receives
 /// inputs[i] (*) kernel, resized to inputs[i].size()+kernel.size()-1. On the
@@ -208,8 +160,7 @@ void convolve_many(std::span<const std::span<const double>> inputs,
 /// the usual FFT roundoff. Requires outs.size() == inputs.size().
 void convolve_many(std::span<const std::span<const double>> inputs,
                    std::span<const double> kernel,
-                   std::span<std::vector<double>> outs, Workspace& ws,
-                   Policy policy = {});
+                   std::span<std::vector<double>> outs, Policy policy = {});
 
 /// Reference implementations (always direct); used as test oracles.
 [[nodiscard]] std::vector<double> convolve_full_direct(

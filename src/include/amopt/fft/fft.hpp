@@ -10,9 +10,8 @@
 // signal the pricers transform is real, so `RealPlan` computes a size-n real
 // DFT through a size-n/2 complex transform with an O(n) post-twiddle —
 // 1.5 half-size transforms per convolution instead of 2 full-size ones.
-// Stages of large transforms are split across the core::TaskPool when
-// called from outside a pool task (span O(log n) stages), matching the
-// O(log l * log log l)-span FFT the paper assumes.
+// A transform runs serially on the calling thread; the vector pipeline's
+// split real/imag rows are a frame leased from core::thread_scratch().
 //
 // Plan lookups (`plan_for` / `real_plan_for`) are wait-free for readers:
 // the cache publishes immutable snapshots through an atomic pointer, so
@@ -106,24 +105,26 @@ class RealPlan {
   }
 
   /// Forward R2C: `in` holds n reals, `spec` receives the n/2+1 bins of the
-  /// DFT. `spec` must not alias `in` and needs spectrum_size() slots.
+  /// DFT (spectrum_size() slots). `in` may be the low n doubles of `spec`
+  /// itself — the transform then runs in place, with no staging buffer —
+  /// but must not overlap it any other way.
   void forward(const double* in, cplx* spec) const;
 
   /// Inverse C2R: `spec` holds n/2+1 bins (imaginary parts of bins 0 and
   /// n/2 are ignored), `out` receives n reals, including the 1/n
-  /// normalization. Destroys `spec` (it doubles as the transform scratch).
+  /// normalization. Destroys `spec` (it doubles as the transform scratch);
+  /// `out` may be the low n doubles of `spec`, like forward's `in`.
   void inverse(cplx* spec, double* out) const;
 
   /// Produce a reusable `RealSpectrum`: `signal` (its length must not
   /// exceed size()) is zero-padded to size() — packed back-to-front when
-  /// `reversed`, the correlation layout — and forward-transformed into
-  /// `spec.bins`. `pad` is caller scratch of at least size() doubles (the
-  /// padded time-domain staging buffer; conv::Workspace::real_b works).
-  /// The result is bit-identical to what the convolution paths compute
-  /// in-call for the same operand, so consuming a cached spectrum never
-  /// changes a result, only skips its transform.
+  /// `reversed`, the correlation layout — in the low half of `spec.bins`
+  /// and forward-transformed in place. The result is bit-identical to what
+  /// the convolution paths compute in-call for the same operand, so
+  /// consuming a cached spectrum never changes a result, only skips its
+  /// transform.
   void spectrum(std::span<const double> signal, bool reversed,
-                std::span<double> pad, RealSpectrum& spec) const;
+                RealSpectrum& spec) const;
 
  private:
   std::size_t n_;

@@ -27,33 +27,29 @@
 
 namespace amopt::poly {
 
+/// Square-and-multiply over FFT products: the rungs taps^(2^k) come from
+/// square_rung, the product over the set bits of h from power_from_rungs.
+/// Every scratch buffer (rungs and accumulators) is leased from the calling
+/// thread's core::ScratchStack, so only the returned kernel is heap-
+/// allocated.
 [[nodiscard]] std::vector<double> power_fft(std::span<const double> taps,
                                             std::uint64_t h);
 
-/// Workspace-backed power_fft: the square-and-multiply accumulators ping-
-/// pong through `ws` and every convolution draws its FFT scratch from it,
-/// so only the returned kernel itself is heap-allocated.
-[[nodiscard]] std::vector<double> power_fft(std::span<const double> taps,
-                                            std::uint64_t h,
-                                            conv::Workspace& ws);
-
-/// One step of power_fft's repeated-squaring chain: rung * rung with the
+/// One step of the repeated-squaring chain: rung * rung with the
 /// probability-kernel noise clamp (when every tap is non-negative). Rung 0
-/// is the raw taps and rung k+1 = square_rung(taps, rung k), so rung k is,
-/// bit for bit, the base power_fft holds after k squarings. A caller that
+/// is the raw taps and rung k+1 = square_rung(taps, rung k). A caller that
 /// keeps the rungs (stencil::KernelCache) pays each squaring once for ALL
 /// heights instead of once per height.
 [[nodiscard]] std::vector<double> square_rung(std::span<const double> taps,
-                                              std::span<const double> rung,
-                                              conv::Workspace& ws);
+                                              std::span<const double> rung);
 
 /// The combine half of the walk: multiply together rungs[k] over the set
-/// bits of h, replaying power_fft's accumulation order and clamping, so the
-/// result is bit-identical to power_fft(taps, h). rungs[0] must be the raw
-/// taps; rungs must cover every set bit of h.
+/// bits of h, clamping after each product. With rungs from square_rung the
+/// result is bit-identical to power_fft(taps, h) — power_fft is this call
+/// on its own rungs. rungs[0] must be the raw taps; rungs must cover every
+/// set bit of h.
 [[nodiscard]] std::vector<double> power_from_rungs(
-    std::uint64_t h, std::span<const std::span<const double>> rungs,
-    conv::Workspace& ws);
+    std::uint64_t h, std::span<const std::span<const double>> rungs);
 
 [[nodiscard]] std::vector<double> power_binomial(double a, double b,
                                                  std::uint64_t h);
@@ -67,9 +63,5 @@ namespace amopt::poly {
 /// Production dispatch: closed form for 2 taps, FFT squaring otherwise.
 [[nodiscard]] std::vector<double> power(std::span<const double> taps,
                                         std::uint64_t h);
-
-/// Production dispatch through an explicit convolution workspace.
-[[nodiscard]] std::vector<double> power(std::span<const double> taps,
-                                        std::uint64_t h, conv::Workspace& ws);
 
 }  // namespace amopt::poly

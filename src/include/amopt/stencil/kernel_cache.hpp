@@ -43,10 +43,6 @@
 #include "amopt/fft/fft.hpp"
 #include "amopt/stencil/linear_stencil.hpp"
 
-namespace amopt::conv {
-class Workspace;
-}
-
 namespace amopt::stencil {
 
 class KernelCache {
@@ -80,7 +76,7 @@ class KernelCache {
   /// the rung's cached spectrum and direct-route calls its coefficients. An
   /// empty `out` is a no-op.
   void correlate(std::span<const double> main, std::span<const double> tail,
-                 std::uint64_t h, std::span<double> out, conv::Workspace& ws);
+                 std::uint64_t h, std::span<double> out);
 
   /// Heap bytes held: the object and its taps, every rung, spectrum and
   /// composed power. Bumped on each insert; a relaxed read that takes no

@@ -133,7 +133,7 @@ void sim_bsm_vanilla(CacheSim& sim, std::int64_t T) {
 /// packed-complex model survives as `convolution_packed` so tests can
 /// assert the retune actually shrank the modeled traffic. Twiddle tables
 /// are cached per size exactly like fft::plan_for / real_plan_for, and work
-/// buffers are reused per size (the Workspace arena in the real code).
+/// buffers are reused per size (the ScratchStack arena in the real code).
 class FftReplayer {
  public:
   explicit FftReplayer(CacheSim& sim) : sim_(sim) {}

@@ -1,9 +1,13 @@
 #include "amopt/poly/poly_power.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "amopt/common/assert.hpp"
+#include "amopt/core/scratch.hpp"
 #include "amopt/fft/convolution.hpp"
 
 namespace amopt::poly {
@@ -65,88 +69,66 @@ void clamp_kernel_noise(std::span<double> k) {
   }
 }
 
+/// Non-negative taps: the kernel-noise clamp applies after every product.
+[[nodiscard]] bool probability_kernel(std::span<const double> taps) {
+  bool p = true;
+  for (double t : taps) p &= (t >= 0.0);
+  return p;
+}
+
+/// out = rung * rung (2 * rung.size() - 1 cells), clamped like every other
+/// product of the walk. The self-convolution rides the aliased
+/// one-transform fast path.
+void square_into(std::span<const double> rung, bool probability,
+                 std::span<double> out) {
+  conv::convolve_full(rung, rung, out);
+  if (probability) clamp_kernel_noise(out);
+}
+
 }  // namespace
 
-std::vector<double> power_fft(std::span<const double> taps, std::uint64_t h,
-                              conv::Workspace& ws) {
-  // square_rung/power_from_rungs below replay this walk rung for rung;
-  // any change to the clamp or the convolution order must be mirrored
-  // there, or KernelCache::power loses its bit-identity with poly::power
-  // (asserted in tests/test_stencil.cpp).
-  AMOPT_EXPECTS(!taps.empty());
-  if (h == 0) return {1.0};
-  bool probability_kernel = true;
-  for (double t : taps) probability_kernel &= (t >= 0.0);
-  const std::size_t d = taps.size() - 1;
-  // Degree bounds: the accumulator never exceeds d*h, the repeated-squaring
-  // base never exceeds d*2^floor(log2 h) <= d*h. Growing all three staging
-  // buffers to the bound up front keeps the spans valid for the whole run.
-  const std::size_t max_len = d * static_cast<std::size_t>(h) + 1;
-  std::span<double> result = ws.acc(max_len);
-  std::span<double> base = ws.tmp(max_len);
-  std::span<double> stage = ws.aux(max_len);
-  std::size_t nr = 1, nb = taps.size();
-  result[0] = 1.0;
-  std::copy(taps.begin(), taps.end(), base.begin());
-  std::uint64_t e = h;
-  while (e > 0) {
-    if (e & 1u) {
-      const std::size_t len = nr + nb - 1;
-      conv::convolve_full(result.first(nr), base.first(nb), stage.first(len),
-                          ws);
-      std::copy_n(stage.begin(), len, result.begin());
-      nr = len;
-      if (probability_kernel) clamp_kernel_noise(result.first(nr));
-    }
-    e >>= 1;
-    if (e > 0) {
-      const std::size_t len = 2 * nb - 1;
-      conv::convolve_full(base.first(nb), base.first(nb), stage.first(len),
-                          ws);
-      std::copy_n(stage.begin(), len, base.begin());
-      nb = len;
-      if (probability_kernel) clamp_kernel_noise(base.first(nb));
-    }
-  }
-  return std::vector<double>(result.begin(),
-                             result.begin() + static_cast<std::ptrdiff_t>(nr));
-}
+// power_fft IS square_rung + power_from_rungs: one square-and-multiply walk,
+// which is what makes KernelCache::power (which keeps the rungs) bit-
+// identical to poly::power (tests/test_stencil.cpp asserts it).
 
 std::vector<double> power_fft(std::span<const double> taps, std::uint64_t h) {
-  return power_fft(taps, h, conv::thread_workspace());
+  AMOPT_EXPECTS(!taps.empty());
+  if (h == 0) return {1.0};
+  const bool probability = probability_kernel(taps);
+  // Rung k = taps^(2^k) for every bit of h, leased from one arena frame, so
+  // the returned kernel is the only heap allocation.
+  core::ScratchStack::Frame frame(core::thread_scratch());
+  const auto nbits = static_cast<std::size_t>(std::bit_width(h));
+  std::array<std::span<const double>, 64> rungs;
+  rungs[0] = taps;
+  for (std::size_t k = 1; k < nbits; ++k) {
+    const std::span<double> r = frame.alloc(2 * rungs[k - 1].size() - 1);
+    square_into(rungs[k - 1], probability, r);
+    rungs[k] = r;
+  }
+  return power_from_rungs(h, std::span(rungs.data(), nbits));
 }
 
-// The two halves below replay power_fft's square-and-multiply walk — same
-// convolutions on the same values in the same order, same clamp placement —
-// which is what makes KernelCache::power bit-identical to poly::power (the
-// contract tests/test_stencil.cpp asserts). Any change to power_fft's clamp
-// threshold, accumulation order, or policy MUST be mirrored here.
-
 std::vector<double> square_rung(std::span<const double> taps,
-                                std::span<const double> rung,
-                                conv::Workspace& ws) {
+                                std::span<const double> rung) {
   AMOPT_EXPECTS(!taps.empty() && !rung.empty());
-  bool probability_kernel = true;
-  for (double t : taps) probability_kernel &= (t >= 0.0);
-  // The self-convolution rides the aliased one-transform fast path, and
-  // the clamp matches power_fft's internal base clamp.
   std::vector<double> next(2 * rung.size() - 1);
-  conv::convolve_full(rung, rung, next, ws);
-  if (probability_kernel) clamp_kernel_noise(next);
+  square_into(rung, probability_kernel(taps), next);
   return next;
 }
 
 std::vector<double> power_from_rungs(
-    std::uint64_t h, std::span<const std::span<const double>> rungs,
-    conv::Workspace& ws) {
+    std::uint64_t h, std::span<const std::span<const double>> rungs) {
   if (h == 0) return {1.0};
   AMOPT_EXPECTS(!rungs.empty() && !rungs[0].empty());
-  bool probability_kernel = true;
-  for (double t : rungs[0]) probability_kernel &= (t >= 0.0);
-  const std::size_t d = rungs[0].size() - 1;
-  const std::size_t max_len = d * static_cast<std::size_t>(h) + 1;
-  std::span<double> result = ws.acc(max_len);
-  std::span<double> stage = ws.aux(max_len);
+  const bool probability = probability_kernel(rungs[0]);
+  // The accumulator never exceeds d*h + 1 cells; it ping-pongs between two
+  // arena spans, one product per set bit of h.
+  const std::size_t max_len =
+      (rungs[0].size() - 1) * static_cast<std::size_t>(h) + 1;
+  core::ScratchStack::Frame frame(core::thread_scratch());
+  std::span<double> result = frame.alloc(max_len);
+  std::span<double> stage = frame.alloc(max_len);
   std::size_t nr = 1;
   result[0] = 1.0;
   std::uint64_t e = h;
@@ -155,10 +137,10 @@ std::vector<double> power_from_rungs(
       AMOPT_EXPECTS(k < rungs.size());
       const std::span<const double> base = rungs[k];
       const std::size_t len = nr + base.size() - 1;
-      conv::convolve_full(result.first(nr), base, stage.first(len), ws);
-      std::copy_n(stage.begin(), len, result.begin());
+      conv::convolve_full(result.first(nr), base, stage.first(len));
+      std::swap(result, stage);
       nr = len;
-      if (probability_kernel) clamp_kernel_noise(result.first(nr));
+      if (probability) clamp_kernel_noise(result.first(nr));
     }
   }
   return std::vector<double>(result.begin(),
@@ -215,19 +197,14 @@ std::vector<double> power_recurrence(std::span<const double> taps,
   return q;
 }
 
-std::vector<double> power(std::span<const double> taps, std::uint64_t h,
-                          conv::Workspace& ws) {
+std::vector<double> power(std::span<const double> taps, std::uint64_t h) {
   AMOPT_EXPECTS(!taps.empty());
   if (h == 0) return {1.0};
   if (taps.size() == 1)
     return {std::pow(taps[0], static_cast<double>(h))};
   if (taps.size() == 2 && taps[0] >= 0.0 && taps[1] >= 0.0)
     return power_binomial(taps[0], taps[1], h);
-  return power_fft(taps, h, ws);
-}
-
-std::vector<double> power(std::span<const double> taps, std::uint64_t h) {
-  return power(taps, h, conv::thread_workspace());
+  return power_fft(taps, h);
 }
 
 }  // namespace amopt::poly

@@ -65,11 +65,10 @@ double price_fft(const OptionSpec& spec, std::int64_t T,
       const std::size_t n =
           conv::correlate_fft_size(next.size(), kernel.size());
       if (spec_gap != h || gap_spec.n != n) {
-        gap_spec = conv::kernel_spectrum(kernel, n, /*reversed=*/true,
-                                         conv::thread_workspace());
+        gap_spec = conv::kernel_spectrum(kernel, n, /*reversed=*/true);
         spec_gap = h;
       }
-      conv::correlate_valid(row, gap_spec, next, conv::thread_workspace());
+      conv::correlate_valid(row, gap_spec, next);
     } else {
       conv::correlate_valid(row, kernel, next);
     }

@@ -7,9 +7,9 @@
 //
 // Each kernel picks aligned (unmasked) loads when its operands sit on their
 // natural 32-byte boundary — true for everything reached through the
-// aligned_vector-backed FFT scratch and conv::Workspace — and transparently
-// falls back to unaligned loads otherwise, so callers may pass arbitrary
-// pointers (exercised by tests/test_simd.cpp).
+// FFT's plan tables and 64-byte-aligned core::ScratchStack spans — and
+// transparently falls back to unaligned loads otherwise, so callers may
+// pass arbitrary pointers (exercised by tests/test_simd.cpp).
 
 #include <immintrin.h>
 

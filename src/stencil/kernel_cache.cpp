@@ -46,8 +46,7 @@ KernelCache::Rung& KernelCache::rung_locked(unsigned k) {
   } else if (k == 0) {
     r->coeffs.assign(taps.begin(), taps.end());
   } else {
-    r->coeffs = poly::square_rung(taps, rung_locked(k - 1).coeffs,
-                                  conv::thread_workspace());
+    r->coeffs = poly::square_rung(taps, rung_locked(k - 1).coeffs);
   }
   add_bytes(sizeof(Rung) + r->coeffs.size() * sizeof(double));
   rungs_[k].store(r.get(), std::memory_order_release);
@@ -66,8 +65,7 @@ const fft::RealSpectrum& KernelCache::spectrum(Rung& r, std::size_t n) {
     return *hit;
   // Transform outside the lock; a racing duplicate is dropped on insert.
   auto node = std::make_unique<Spectrum>();
-  node->spec = conv::kernel_spectrum(r.coeffs, n, /*reversed=*/true,
-                                     conv::thread_workspace());
+  node->spec = conv::kernel_spectrum(r.coeffs, n, /*reversed=*/true);
   std::lock_guard<std::mutex> lock(mu_);
   const Spectrum* head = r.spectra.load(std::memory_order_relaxed);
   if (const fft::RealSpectrum* hit = find(head)) return *hit;
@@ -90,7 +88,7 @@ std::span<const double> KernelCache::power(std::uint64_t h) {
     std::vector<std::span<const double>> rungs;
     for (unsigned b = 0; b < static_cast<unsigned>(std::bit_width(h)); ++b)
       rungs.emplace_back(rung_locked(b).coeffs);
-    k = poly::power_from_rungs(h, rungs, conv::thread_workspace());
+    k = poly::power_from_rungs(h, rungs);
   }
   add_bytes(sizeof(std::vector<double>) + k.size() * sizeof(double));
   it = composed_.emplace(h, std::make_unique<const std::vector<double>>(
@@ -106,7 +104,7 @@ const fft::RealSpectrum& KernelCache::power_spectrum(std::uint64_t h,
 
 void KernelCache::correlate(std::span<const double> main,
                             std::span<const double> tail, std::uint64_t h,
-                            std::span<double> out, conv::Workspace& ws) {
+                            std::span<double> out) {
   if (out.empty()) return;
   AMOPT_EXPECTS(std::has_single_bit(h));  // solve() asks for rungs only
   Rung& r = rung(static_cast<unsigned>(std::countr_zero(h)));
@@ -114,10 +112,10 @@ void KernelCache::correlate(std::span<const double> main,
   if (conv::correlate_prefers_fft(out.size(), klen, {})) {
     conv::correlate_valid(
         main, tail, spectrum(r, conv::correlate_fft_size(out.size(), klen)),
-        out, ws);
+        out);
     return;
   }
-  conv::correlate_valid(main, tail, r.coeffs, out, ws);
+  conv::correlate_valid(main, tail, r.coeffs, out, {});
 }
 
 KernelCache::Stats KernelCache::stats() const {

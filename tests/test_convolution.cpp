@@ -149,7 +149,6 @@ TEST(Convolution, AliasedOperandsMatchTwoOperandProduct) {
 }
 
 TEST(Convolution, SpectralOverloadsMatchTimeDomainKernels) {
-  conv::Workspace ws;
   // correlate_valid against a precomputed (reversed) kernel spectrum.
   {
     const auto in = random_vec(3000, 81);
@@ -157,10 +156,10 @@ TEST(Convolution, SpectralOverloadsMatchTimeDomainKernels) {
     const std::size_t n_out = in.size() - kernel.size() + 1;
     ASSERT_TRUE(conv::correlate_prefers_fft(n_out, kernel.size(), {}));
     const std::size_t n = conv::correlate_fft_size(n_out, kernel.size());
-    const auto kspec = conv::kernel_spectrum(kernel, n, /*reversed=*/true, ws);
+    const auto kspec = conv::kernel_spectrum(kernel, n, /*reversed=*/true);
     std::vector<double> want(n_out), got(n_out);
     conv::correlate_valid(in, kernel, want, {conv::Policy::Path::fft});
-    conv::correlate_valid(in, kspec, got, ws);
+    conv::correlate_valid(in, kspec, got);
     for (std::size_t i = 0; i < n_out; ++i)
       ASSERT_EQ(got[i], want[i]) << "i=" << i;  // bit-identical by design
   }
@@ -170,9 +169,9 @@ TEST(Convolution, SpectralOverloadsMatchTimeDomainKernels) {
     const auto b = random_vec(300, 84);
     const std::size_t full = a.size() + b.size() - 1;
     const auto bspec = conv::kernel_spectrum(b, amopt::next_pow2(full),
-                                             /*reversed=*/false, ws);
+                                             /*reversed=*/false);
     std::vector<double> got(full);
-    conv::convolve_full(a, bspec, got, ws);
+    conv::convolve_full(a, bspec, got);
     const auto want = conv::convolve_full(a, b, {conv::Policy::Path::fft});
     for (std::size_t i = 0; i < full; ++i)
       ASSERT_EQ(got[i], want[i]) << "i=" << i;
@@ -185,10 +184,10 @@ TEST(Convolution, SpectralOverloadsMatchTimeDomainKernels) {
     std::vector<std::span<const double>> inputs(storage.begin(), storage.end());
     const auto kernel = random_vec(256, 95);
     const std::size_t n = amopt::next_pow2(storage.back().size() + kernel.size() - 1);
-    const auto kspec = conv::kernel_spectrum(kernel, n, /*reversed=*/false, ws);
+    const auto kspec = conv::kernel_spectrum(kernel, n, /*reversed=*/false);
     std::vector<std::vector<double>> got(4), want(4);
-    conv::convolve_many(inputs, kspec, got, ws);
-    conv::convolve_many(inputs, kernel, want, ws, {conv::Policy::Path::fft});
+    conv::convolve_many(inputs, kspec, got);
+    conv::convolve_many(inputs, kernel, want, {conv::Policy::Path::fft});
     for (std::size_t i = 0; i < 4; ++i) {
       ASSERT_EQ(got[i].size(), want[i].size());
       for (std::size_t j = 0; j < got[i].size(); ++j)
@@ -230,7 +229,6 @@ TEST(Convolution, MinimalPaddingWindowIsAliasFree) {
   // at exactly correlate_fft_size — and confirm an over-padded spectrum
   // (the pre-PR-10 size) agrees to round-off, not bits (different n,
   // different rounding).
-  conv::Workspace ws;
   for (const auto& [n_out, n_k] :
        {std::pair<std::size_t, std::size_t>{3584, 513},
         {2048, 2049},
@@ -246,19 +244,19 @@ TEST(Convolution, MinimalPaddingWindowIsAliasFree) {
     for (const double v : oracle) scale = std::max(scale, std::abs(v));
     const double tol = 1e-11 * std::max(scale, 1.0);
 
-    conv::correlate_valid(in, kernel, got, ws, {conv::Policy::Path::fft});
+    conv::correlate_valid(in, kernel, got, {conv::Policy::Path::fft});
     for (std::size_t i = 0; i < n_out; ++i)
       ASSERT_NEAR(got[i], oracle[i], tol) << "fft i=" << i;
 
-    const auto kspec = conv::kernel_spectrum(kernel, n_min, true, ws);
-    conv::correlate_valid(in, kspec, got, ws);
+    const auto kspec = conv::kernel_spectrum(kernel, n_min, true);
+    conv::correlate_valid(in, kspec, got);
     for (std::size_t i = 0; i < n_out; ++i)
       ASSERT_NEAR(got[i], oracle[i], tol) << "spectral i=" << i;
 
     // Any larger power of two remains a valid spectrum size.
-    const auto kspec_wide = conv::kernel_spectrum(kernel, 2 * n_min, true, ws);
+    const auto kspec_wide = conv::kernel_spectrum(kernel, 2 * n_min, true);
     std::vector<double> wide(n_out);
-    conv::correlate_valid(in, kspec_wide, wide, ws);
+    conv::correlate_valid(in, kspec_wide, wide);
     for (std::size_t i = 0; i < n_out; ++i)
       ASSERT_NEAR(wide[i], oracle[i], tol) << "over-padded i=" << i;
   }
@@ -268,7 +266,6 @@ TEST(Correlation, SplitOperandMatchesConcatenatedBitForBit) {
   // The solvers stage (red prefix, green tail) without materializing the
   // concatenation; on the FFT path the staged transform buffer is the
   // same bytes, so the result must be IDENTICAL at a fixed dispatch level.
-  conv::Workspace ws;
   for (const auto path :
        {conv::Policy::Path::fft, conv::Policy::Path::automatic}) {
     for (const std::size_t n_tail : {0u, 1u, 2u, 7u}) {
@@ -281,8 +278,8 @@ TEST(Correlation, SplitOperandMatchesConcatenatedBitForBit) {
         std::vector<double> out(cat.size() - kernel.size() + 1);
         std::vector<double> want(out.size());
         const conv::Policy policy{path};
-        conv::correlate_valid(cat, kernel, want, ws, policy);
-        conv::correlate_valid(main, tail, kernel, out, ws, policy);
+        conv::correlate_valid(cat, kernel, want, policy);
+        conv::correlate_valid(main, tail, kernel, out, policy);
         // Bit-identical on EVERY path: the FFT path stages the same bytes
         // and the direct path materializes the concatenation precisely so
         // its sweep partition matches (FMA levels would otherwise diverge
@@ -297,7 +294,6 @@ TEST(Correlation, SplitOperandMatchesConcatenatedBitForBit) {
 }
 
 TEST(Correlation, SplitOperandSpectralMatchesConcatenated) {
-  conv::Workspace ws;
   const auto main = random_vec(3000, 71);
   const auto tail = random_vec(2, 72);
   const auto kernel = random_vec(1025, 73);
@@ -306,10 +302,10 @@ TEST(Correlation, SplitOperandSpectralMatchesConcatenated) {
   std::vector<double> out(cat.size() - kernel.size() + 1);
   const std::size_t n = conv::correlate_fft_size(out.size(), kernel.size());
   const fft::RealSpectrum kspec =
-      conv::kernel_spectrum(kernel, n, /*reversed=*/true, ws);
+      conv::kernel_spectrum(kernel, n, /*reversed=*/true);
   std::vector<double> want(out.size());
-  conv::correlate_valid(cat, kspec, want, ws);
-  conv::correlate_valid(main, tail, kspec, out, ws);
+  conv::correlate_valid(cat, kspec, want);
+  conv::correlate_valid(main, tail, kspec, out);
   for (std::size_t i = 0; i < out.size(); ++i)
     ASSERT_EQ(out[i], want[i]) << "i=" << i;  // same staged bytes, same bits
 }
@@ -317,7 +313,6 @@ TEST(Correlation, SplitOperandSpectralMatchesConcatenated) {
 TEST(Correlation, SplitOperandMatchesDirectOracle) {
   // Against the reference oracle at 1e-12, covering windows that read
   // several tail cells.
-  conv::Workspace ws;
   const auto main = random_vec(300, 81);
   const auto tail = random_vec(4, 82);
   const auto kernel = random_vec(32, 83);
@@ -327,7 +322,7 @@ TEST(Correlation, SplitOperandMatchesDirectOracle) {
   conv::correlate_valid_direct(cat, kernel, want);
   for (const auto path : {conv::Policy::Path::direct, conv::Policy::Path::fft}) {
     std::vector<double> out(want.size());
-    conv::correlate_valid(main, tail, kernel, out, ws, {path});
+    conv::correlate_valid(main, tail, kernel, out, {path});
     for (std::size_t i = 0; i < out.size(); ++i)
       ASSERT_NEAR(out[i], want[i], 1e-12)
           << "path=" << static_cast<int>(path) << " i=" << i;

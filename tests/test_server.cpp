@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -17,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "amopt/core/task_pool.hpp"
 #include "amopt/pricing/pricer.hpp"
 #include "amopt/service/server.hpp"
 #include "amopt/service/transport.hpp"
@@ -388,17 +391,62 @@ TEST(Server, StopWithGraceShedsQueuedItemsInsteadOfPricingThem) {
   ServerConfig cfg;
   cfg.coalesce_window_us = 0;
   cfg.max_coalesced_items = 1;  // one slow item per drain iteration
-  Server server(cfg);
-
   std::vector<PricingRequest> reqs(6);
   for (auto& r : reqs) {
     r.spec = paper_spec();
     r.T = 16384;  // slow enough that the queue outlives the grace
   }
+  // A full queue refuses further items as "queue full" until stop() marks
+  // the shard stopping — the probe below reads that switch.
+  cfg.admit_queue_depth = reqs.size();
+  Server server(cfg);
+  const auto grace = std::chrono::microseconds(100);
+
+  // Hold the drain on a latch: park every active pool worker (the drain's
+  // only executors) in a broadcast that waits for `release`, so no item
+  // can be popped before the grace cutoff has passed, however the test
+  // thread is scheduled between submit() and stop().
+  core::TaskPool& pool = core::TaskPool::instance();
+  const int workers = std::max(pool.concurrency() - 1, 1);
+  struct Latch {
+    std::atomic<int> parked{0};
+    std::atomic<bool> release{false};
+  } latch;
+  std::thread holder([&] {
+    pool.run_on_workers(
+        [](void* p) {
+          auto* l = static_cast<Latch*>(p);
+          l->parked.fetch_add(1);
+          while (!l->release.load()) std::this_thread::yield();
+        },
+        &latch);
+  });
+  while (latch.parked.load() < workers) std::this_thread::yield();
+
   std::vector<PricingResult> out(reqs.size());
   Server::Batch done;
   server.submit(reqs, out.data(), done);
-  server.stop(std::chrono::microseconds(100));
+  // Release once stop() has set its cutoff (seen as the probe's refusal
+  // turning from "queue full" to "stopping") and one grace has elapsed
+  // since: the cutoff is then in the past for every pop.
+  std::thread releaser([&] {
+    const std::vector<PricingRequest> probe(1, reqs[0]);
+    std::vector<PricingResult> probe_out(1);
+    for (;;) {
+      Server::Batch b;
+      server.submit(probe, probe_out.data(), b);
+      b.wait();
+      if (probe_out[0].message.find("stopping") != std::string::npos) break;
+      std::this_thread::yield();
+    }
+    const auto seen = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() < seen + grace)
+      std::this_thread::yield();
+    latch.release.store(true);
+  });
+  server.stop(grace);
+  releaser.join();
+  holder.join();
 
   // Every item reached exactly one terminal status before stop returned:
   // whatever was already pricing completed, the rest shed as overloaded.

@@ -467,13 +467,11 @@ TEST_F(SimdTest, SpectralConvolutionParityAcrossLevels) {
 
   for (const Level lvl : available_levels()) {
     simd::set_level(lvl);
-    conv::Workspace ws;
     const fft::RealSpectrum kspec =
-        conv::kernel_spectrum(kernel, n, /*reversed=*/true, ws);
+        conv::kernel_spectrum(kernel, n, /*reversed=*/true);
     std::vector<double> spectral(n_out), timedomain(n_out);
-    conv::correlate_valid(in, kspec, spectral, ws);
-    conv::correlate_valid(in, kernel, timedomain, ws,
-                          {conv::Policy::Path::fft});
+    conv::correlate_valid(in, kspec, spectral);
+    conv::correlate_valid(in, kernel, timedomain, {conv::Policy::Path::fft});
     for (std::size_t i = 0; i < n_out; ++i) {
       ASSERT_EQ(spectral[i], timedomain[i])
           << simd::to_string(lvl) << " i=" << i;  // within-level: same bits

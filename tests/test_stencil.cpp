@@ -144,9 +144,8 @@ TEST(KernelCache, SpectraAreCachedPerHeightAndSize) {
   EXPECT_EQ(cache.stats().spectra, 2u);
 
   // The cached bins must be exactly what an in-call transform produces.
-  conv::Workspace ws;
   const fft::RealSpectrum fresh =
-      conv::kernel_spectrum(cache.power(16), n, /*reversed=*/true, ws);
+      conv::kernel_spectrum(cache.power(16), n, /*reversed=*/true);
   ASSERT_EQ(fresh.bins.size(), s1.bins.size());
   for (std::size_t i = 0; i < fresh.bins.size(); ++i)
     ASSERT_EQ(fresh.bins[i], s1.bins[i]) << "bin " << i;
@@ -161,11 +160,10 @@ TEST(KernelCache, SpectralCorrelationMatchesTimeDomain) {
   const std::size_t n_out = in.size() - kernel.size() + 1;
   std::vector<double> want(n_out), got(n_out);
   conv::correlate_valid(in, kernel, want, {conv::Policy::Path::fft});
-  conv::Workspace ws;
   conv::correlate_valid(
       in,
       cache.power_spectrum(h, conv::correlate_fft_size(n_out, kernel.size())),
-      got, ws);
+      got);
   for (std::size_t i = 0; i < n_out; ++i)
     ASSERT_EQ(got[i], want[i]) << "i=" << i;  // same bits, not just close
 }
