@@ -7,8 +7,8 @@
 // the legacy `price_batch`) and boundary-engine node tables, held in one
 // registry bounded by one LRU by bytes (`Pricer::kCacheBytes`), so
 // recalibration loops over thousands of distinct vols — or of node-table
-// settings — cannot grow memory without bound. FFT plans
-// and conv workspaces are already process/thread-global, so a warm session
+// settings — cannot grow memory without bound. FFT plans are process-
+// global and scratch comes from per-thread arenas, so a warm session
 // makes the kernel powers — the dominant per-pricing setup cost — the last
 // thing left to amortize:
 //
