@@ -265,7 +265,7 @@ struct Latency {
   std::vector<PricingResult> results;
   const auto round_trip = [&] {
     frame.clear();
-    wire::encode_request_batch(reqs, frame);
+    wire::encode_request_batch_v2(reqs, {}, 0, frame);
     if (!client.write_all(frame)) std::exit(1);
     std::size_t have = 0;
     for (;;) {

@@ -37,16 +37,14 @@ class CallGreen final : public core::LatticeGreen {
 
 // --- American call ------------------------------------------------------
 
-[[nodiscard]] double american_call_fft(const OptionSpec& spec, std::int64_t T,
-                                       core::SolverConfig cfg = {});
-/// Same algorithm with a caller-owned kernel cache shared across pricings
-/// (see pricing::price_batch): all strikes of a chain have identical taps
-/// {s0, s1}, so each kernel power is computed once for the whole chain.
-/// `kernels` may be null (falls back to a private cache) and must otherwise
-/// be built from stencil {{s0, s1}} of derive_bopm(spec, T).
-[[nodiscard]] double american_call_fft(const OptionSpec& spec, std::int64_t T,
-                                       core::SolverConfig cfg,
-                                       stencil::KernelCache* kernels);
+/// `kernels` is an optional caller-owned kernel cache shared across
+/// pricings (see pricing::price_batch): all strikes of a chain have
+/// identical taps {s0, s1}, so each kernel power is computed once for the
+/// whole chain. Null falls back to a private cache; otherwise it must be
+/// built from stencil {{s0, s1}} of derive_bopm(spec, T).
+[[nodiscard]] double american_call_fft(
+    const OptionSpec& spec, std::int64_t T, core::SolverConfig cfg = {},
+    stencil::KernelCache* kernels = nullptr);
 [[nodiscard]] double american_call_vanilla(const OptionSpec& spec,
                                            std::int64_t T);
 [[nodiscard]] double american_call_vanilla_parallel(const OptionSpec& spec,
@@ -65,29 +63,26 @@ class CallGreen final : public core::LatticeGreen {
 /// cell by u^(2j-i) — so the call solver and its shrinking boundary apply
 /// unchanged, while the cells stay bounded by K. Agrees with
 /// `american_put_vanilla` to FFT rounding at every T. With R <= 0 <= Y
-/// early exercise never pays and the European put is returned.
-[[nodiscard]] double american_put_fft(const OptionSpec& spec, std::int64_t T,
-                                      core::SolverConfig cfg = {});
-/// Shared-cache variant; `kernels` may be null and must otherwise be built
-/// from the MIRRORED stencil {{s1, s0}} of derive_bopm(spec, T) (S and K
-/// never enter the taps, so one cache serves a whole put strike ladder).
-[[nodiscard]] double american_put_fft(const OptionSpec& spec, std::int64_t T,
-                                      core::SolverConfig cfg,
-                                      stencil::KernelCache* kernels);
+/// early exercise never pays and the European put is returned. A non-null
+/// shared `kernels` must be built from the MIRRORED stencil {{s1, s0}} of
+/// derive_bopm(spec, T) (S and K never enter the taps, so one cache serves
+/// a whole put strike ladder).
+[[nodiscard]] double american_put_fft(
+    const OptionSpec& spec, std::int64_t T, core::SolverConfig cfg = {},
+    stencil::KernelCache* kernels = nullptr);
 
 // --- European (the linear special case; the paper's "simpler" problem) ---
 
 [[nodiscard]] double european_call_vanilla(const OptionSpec& spec,
                                            std::int64_t T);
 /// One T-step kernel power + one dot product: O(T log T).
-[[nodiscard]] double european_call_fft(const OptionSpec& spec, std::int64_t T);
-[[nodiscard]] double european_call_fft(const OptionSpec& spec, std::int64_t T,
-                                       stencil::KernelCache* kernels);
+[[nodiscard]] double european_call_fft(
+    const OptionSpec& spec, std::int64_t T,
+    stencil::KernelCache* kernels = nullptr);
 [[nodiscard]] double european_put_vanilla(const OptionSpec& spec,
                                           std::int64_t T);
-[[nodiscard]] double european_put_fft(const OptionSpec& spec, std::int64_t T);
 [[nodiscard]] double european_put_fft(const OptionSpec& spec, std::int64_t T,
-                                      stencil::KernelCache* kernels);
+                                      stencil::KernelCache* kernels = nullptr);
 
 // --- Low-lattice nodes for Greeks (rows 0..2) -----------------------------
 
@@ -96,15 +91,10 @@ struct LowNodes {
   BopmParams prm;
 };
 /// Nodes of rows 0..2 of the American call lattice, computed with the FFT
-/// descent to row 2 and naive steps below. Requires T >= 2.
-[[nodiscard]] LowNodes american_call_nodes_fft(const OptionSpec& spec,
-                                               std::int64_t T,
-                                               core::SolverConfig cfg = {});
-/// Shared-cache variant (see american_call_fft); `kernels` may be null and
-/// must otherwise be built from stencil {{s0, s1}} of derive_bopm.
-[[nodiscard]] LowNodes american_call_nodes_fft(const OptionSpec& spec,
-                                               std::int64_t T,
-                                               core::SolverConfig cfg,
-                                               stencil::KernelCache* kernels);
+/// descent to row 2 and naive steps below. Requires T >= 2. `kernels` as
+/// for american_call_fft.
+[[nodiscard]] LowNodes american_call_nodes_fft(
+    const OptionSpec& spec, std::int64_t T, core::SolverConfig cfg = {},
+    stencil::KernelCache* kernels = nullptr);
 
 }  // namespace amopt::pricing::bopm

@@ -63,15 +63,13 @@ struct FdmLayout {
 /// the row's 2T+3 cells.
 [[nodiscard]] core::LatticeRow payoff_row(std::int64_t T, const FdmLayout& lay);
 
-[[nodiscard]] double american_put_fft(const OptionSpec& spec, std::int64_t T,
-                                      core::SolverConfig cfg = {});
-/// Shared-cache variant (see pricing::price_batch): all strikes of a BSM
-/// chain derive the same (b, c, a), so one cache serves the whole ladder.
-/// `kernels` may be null and must otherwise be built from the mapped
-/// stencil {{a, c, b}} of derive_bsm(spec, T).
-[[nodiscard]] double american_put_fft(const OptionSpec& spec, std::int64_t T,
-                                      core::SolverConfig cfg,
-                                      stencil::KernelCache* kernels);
+/// `kernels` is an optional shared cache (see pricing::price_batch): all
+/// strikes of a BSM chain derive the same (b, c, a), so one cache serves
+/// the whole ladder. Null falls back to a private one; otherwise it must be
+/// built from the mapped stencil {{a, c, b}} of derive_bsm(spec, T).
+[[nodiscard]] double american_put_fft(
+    const OptionSpec& spec, std::int64_t T, core::SolverConfig cfg = {},
+    stencil::KernelCache* kernels = nullptr);
 [[nodiscard]] double american_put_vanilla(const OptionSpec& spec,
                                           std::int64_t T);
 [[nodiscard]] double american_put_vanilla_parallel(const OptionSpec& spec,

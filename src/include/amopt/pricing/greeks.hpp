@@ -29,31 +29,20 @@ struct Greeks {
 /// chain hit warm caches.
 using RepriceFn = std::function<double(const OptionSpec&)>;
 
-[[nodiscard]] Greeks american_call_greeks_bopm(const OptionSpec& spec,
-                                               std::int64_t T,
-                                               core::SolverConfig cfg = {});
-
-/// Session variant: `kernels` (nullable, taps {s0, s1} of derive_bopm)
-/// backs the base-spec lattice descent; `reprice` the bumped evaluations.
-[[nodiscard]] Greeks american_call_greeks_bopm(const OptionSpec& spec,
-                                               std::int64_t T,
-                                               core::SolverConfig cfg,
-                                               const RepriceFn& reprice,
-                                               stencil::KernelCache* kernels);
+/// Sessions pass `kernels` (nullable, taps {s0, s1} of derive_bopm) for the
+/// base-spec lattice descent and `reprice` for the bumped evaluations.
+[[nodiscard]] Greeks american_call_greeks_bopm(
+    const OptionSpec& spec, std::int64_t T, core::SolverConfig cfg = {},
+    const RepriceFn& reprice = {}, stencil::KernelCache* kernels = nullptr);
 
 /// Put Greeks via central finite differences of the fast put pricer
 /// (bopm::american_put_fft; its mirrored lattice keeps no low nodes in the
-/// put's own coordinates).
+/// put's own coordinates). Every evaluation goes through `reprice` when
+/// set; sessions reprice with the same pricer through their kernel caches,
+/// which change no bits, so the greeks are identical either way.
 [[nodiscard]] Greeks american_put_greeks_bopm(const OptionSpec& spec,
                                               std::int64_t T,
-                                              core::SolverConfig cfg = {});
-
-/// Session variant: every evaluation goes through `reprice` (nullable).
-/// Sessions reprice with the same pricer through their kernel caches,
-/// which change no bits, so both variants return identical greeks.
-[[nodiscard]] Greeks american_put_greeks_bopm(const OptionSpec& spec,
-                                              std::int64_t T,
-                                              core::SolverConfig cfg,
-                                              const RepriceFn& reprice);
+                                              core::SolverConfig cfg = {},
+                                              const RepriceFn& reprice = {});
 
 }  // namespace amopt::pricing

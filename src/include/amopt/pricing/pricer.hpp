@@ -55,23 +55,6 @@ struct PricerConfig {
   /// item fan-out — the solvers' intra-solve tasks still use the shared
   /// pool, which is what `SolverConfig::parallel` gates.
   int threads = 0;
-  /// Warm-start repeated implied-vol inversions: the session remembers each
-  /// contract's last two (vol, price) evaluation points and restarts the
-  /// safeguarded secant from them, so a recalibration tick typically costs
-  /// 1-3 pricings instead of the ~12 of a cold bracketed Newton. The root
-  /// satisfies the same price tolerance but may differ from the cold path
-  /// in the last bits (different, fewer iterates); set false to replay the
-  /// free-function iteration exactly on every call.
-  bool warm_start_iv = true;
-  /// Warm-start repeated batch greeks the way implied vol is warm-started:
-  /// the session remembers the price of every bumped spec a greeks report
-  /// evaluates (keyed by the full spec + discretization + resolved solver
-  /// config), so a recalibration tick that re-requests greeks for an
-  /// unchanged contract replays its finite-difference legs from the store
-  /// instead of re-pricing them. Prices are deterministic in the key, so
-  /// reuse is exact — results are bit-identical to a cold call at the same
-  /// SIMD dispatch level. Set false to re-price every leg on every call.
-  bool warm_start_greeks = true;
   /// Opt-in cross-expiry kernel sharing: requests in one `price_many` batch
   /// whose derived taps differ ONLY through the time step (same model /
   /// right / style / fft engine and same R, V, Y — a chain over expiries)
@@ -158,7 +141,11 @@ class Pricer {
 
   /// Batch greeks: `price_many` with every item's compute mask replaced by
   /// Compute::greeks (the report's own price lands in both `greeks.price`
-  /// and `price`).
+  /// and `price`). The session remembers the price of every bumped spec
+  /// (keyed by the full spec + discretization + resolved solver config), so
+  /// a tick that re-requests greeks for an unchanged contract replays its
+  /// finite-difference legs from the store — bit-identical to a cold call
+  /// at the same SIMD dispatch level.
   [[nodiscard]] std::vector<PricingResult> greeks_many(
       std::span<const PricingRequest> requests);
 
@@ -166,6 +153,11 @@ class Pricer {
   /// replaced by Compute::implied_vol. Each item inverts its
   /// `target_price` with the safeguarded Newton of `implied_vol.hpp`,
   /// every trial-vol evaluation drawing on the session's kernel caches.
+  /// The first inversion of a contract replays the free function's
+  /// iteration exactly; later ones restart a safeguarded secant from the
+  /// contract's last two (vol, price) points, typically 1-3 pricings
+  /// instead of ~12, with a root that meets the same tolerance but may
+  /// differ from the cold one in the last bits.
   [[nodiscard]] std::vector<PricingResult> implied_vol_many(
       std::span<const PricingRequest> requests);
 

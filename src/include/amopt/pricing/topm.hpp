@@ -28,13 +28,12 @@ class CallGreen final : public core::LatticeGreen {
 [[nodiscard]] core::LatticeRow expiry_row(const TopmParams& prm,
                                           const core::LatticeGreen& green);
 
-[[nodiscard]] double american_call_fft(const OptionSpec& spec, std::int64_t T,
-                                       core::SolverConfig cfg = {});
-/// Shared-cache variant (see pricing::price_batch); `kernels` may be null
-/// and must otherwise be built from stencil {{s0, s1, s2}}.
-[[nodiscard]] double american_call_fft(const OptionSpec& spec, std::int64_t T,
-                                       core::SolverConfig cfg,
-                                       stencil::KernelCache* kernels);
+/// `kernels` is an optional shared cache (see pricing::price_batch); null
+/// falls back to a private one, otherwise it must be built from stencil
+/// {{s0, s1, s2}}.
+[[nodiscard]] double american_call_fft(
+    const OptionSpec& spec, std::int64_t T, core::SolverConfig cfg = {},
+    stencil::KernelCache* kernels = nullptr);
 /// The paper's `vanilla-topm` reference: Θ(T^2) looping code.
 [[nodiscard]] double american_call_vanilla(const OptionSpec& spec,
                                            std::int64_t T);
@@ -49,8 +48,8 @@ class CallGreen final : public core::LatticeGreen {
 
 [[nodiscard]] double european_call_vanilla(const OptionSpec& spec,
                                            std::int64_t T);
-[[nodiscard]] double european_call_fft(const OptionSpec& spec, std::int64_t T);
-[[nodiscard]] double european_call_fft(const OptionSpec& spec, std::int64_t T,
-                                       stencil::KernelCache* kernels);
+[[nodiscard]] double european_call_fft(
+    const OptionSpec& spec, std::int64_t T,
+    stencil::KernelCache* kernels = nullptr);
 
 }  // namespace amopt::pricing::topm

@@ -140,11 +140,6 @@ double american_call_fft(const OptionSpec& spec, std::int64_t T,
   return row.q >= 0 ? row.red[0] : green.value(0, 0);
 }
 
-double american_call_fft(const OptionSpec& spec, std::int64_t T,
-                         core::SolverConfig cfg) {
-  return american_call_fft(spec, T, cfg, nullptr);
-}
-
 double american_call_vanilla(const OptionSpec& spec, std::int64_t T) {
   const BopmParams prm = derive_bopm(spec, T);
   const PowerTable up(prm.log_u, T);
@@ -201,11 +196,6 @@ double american_put_fft(const OptionSpec& spec, std::int64_t T,
   return row.q >= 0 ? row.red[0] : green.value(0, 0);
 }
 
-double american_put_fft(const OptionSpec& spec, std::int64_t T,
-                        core::SolverConfig cfg) {
-  return american_put_fft(spec, T, cfg, nullptr);
-}
-
 double european_call_vanilla(const OptionSpec& spec, std::int64_t T) {
   const BopmParams prm = derive_bopm(spec, T);
   const PowerTable up(prm.log_u, T);
@@ -254,10 +244,6 @@ double european_call_fft(const OptionSpec& spec, std::int64_t T,
       kernels);
 }
 
-double european_call_fft(const OptionSpec& spec, std::int64_t T) {
-  return european_call_fft(spec, T, nullptr);
-}
-
 double european_put_fft(const OptionSpec& spec, std::int64_t T,
                         stencil::KernelCache* kernels) {
   const BopmParams prm = derive_bopm(spec, T);
@@ -268,10 +254,6 @@ double european_put_fft(const OptionSpec& spec, std::int64_t T,
         return spec.K - spec.S * up(2 * j - i);
       },
       kernels);
-}
-
-double european_put_fft(const OptionSpec& spec, std::int64_t T) {
-  return european_put_fft(spec, T, nullptr);
 }
 
 LowNodes american_call_nodes_fft(const OptionSpec& spec, std::int64_t T,
@@ -334,11 +316,6 @@ LowNodes american_call_nodes_fft(const OptionSpec& spec, std::int64_t T,
   row = solver.step_naive(row);
   nodes.g00 = value_at(row, 0);
   return nodes;
-}
-
-LowNodes american_call_nodes_fft(const OptionSpec& spec, std::int64_t T,
-                                 core::SolverConfig cfg) {
-  return american_call_nodes_fft(spec, T, cfg, nullptr);
 }
 
 }  // namespace amopt::pricing::bopm

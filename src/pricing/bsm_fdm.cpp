@@ -67,11 +67,6 @@ double american_put_fft(const OptionSpec& spec, std::int64_t T,
   return spec.K * ((1.0 - lay.theta) * value_at(1) + lay.theta * value_at(0));
 }
 
-double american_put_fft(const OptionSpec& spec, std::int64_t T,
-                        core::SolverConfig cfg) {
-  return american_put_fft(spec, T, cfg, nullptr);
-}
-
 namespace {
 
 constexpr std::int64_t kPad = 4;

@@ -48,11 +48,6 @@ Greeks american_call_greeks_bopm(const OptionSpec& spec, std::int64_t T,
   return g;
 }
 
-Greeks american_call_greeks_bopm(const OptionSpec& spec, std::int64_t T,
-                                 core::SolverConfig cfg) {
-  return american_call_greeks_bopm(spec, T, cfg, {}, nullptr);
-}
-
 Greeks american_put_greeks_bopm(const OptionSpec& spec, std::int64_t T,
                                 core::SolverConfig cfg,
                                 const RepriceFn& reprice) {
@@ -89,11 +84,6 @@ Greeks american_put_greeks_bopm(const OptionSpec& spec, std::int64_t T,
   dn_r.R = spec.R - r_step;
   g.rho = (price(up_r) - price(dn_r)) / (2.0 * r_step);
   return g;
-}
-
-Greeks american_put_greeks_bopm(const OptionSpec& spec, std::int64_t T,
-                                core::SolverConfig cfg) {
-  return american_put_greeks_bopm(spec, T, cfg, {});
 }
 
 }  // namespace amopt::pricing

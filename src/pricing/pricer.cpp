@@ -178,7 +178,6 @@ void append_dispatch_tags(std::string& key, const PricingRequest& req,
 double Pricer::price_cached_memo(const OptionSpec& spec,
                                  const PricingRequest& req,
                                  const core::SolverConfig& cfg) {
-  if (!cfg_.warm_start_greeks) return price_cached(spec, req, cfg);
   const std::string key = eval_key(spec, req, cfg);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -430,7 +429,7 @@ void Pricer::run_implied_vol(const PricingRequest& req,
   const std::string key = iv_key(req, ivc, cfg);
   WarmRoot warm;
   bool have_warm = false;
-  if (cfg_.warm_start_iv) {
+  {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = warm_roots_.find(key);
     if (it != warm_roots_.end()) {
@@ -457,7 +456,7 @@ void Pricer::run_implied_vol(const PricingRequest& req,
         warm.p1);
   }
 
-  if (out.implied_vol.converged && cfg_.warm_start_iv && traced >= 2) {
+  if (out.implied_vol.converged && traced >= 2) {
     std::lock_guard<std::mutex> lock(mu_);
     // Bounded one-victim-at-a-time eviction (arbitrary hash-order victim):
     // keeps memory flat on a rotating contract universe without ever

@@ -101,11 +101,6 @@ double american_call_fft(const OptionSpec& spec, std::int64_t T,
   return row.q >= 0 ? row.red[0] : green.value(0, 0);
 }
 
-double american_call_fft(const OptionSpec& spec, std::int64_t T,
-                         core::SolverConfig cfg) {
-  return american_call_fft(spec, T, cfg, nullptr);
-}
-
 double american_call_vanilla(const OptionSpec& spec, std::int64_t T) {
   const TopmParams prm = derive_topm(spec, T);
   const PowerTable up(prm.log_u, T);
@@ -169,10 +164,6 @@ double european_call_fft(const OptionSpec& spec, std::int64_t T,
     acc += kernel[static_cast<std::size_t>(j)] *
            std::max(0.0, spec.S * up(j - T) - spec.K);
   return acc;
-}
-
-double european_call_fft(const OptionSpec& spec, std::int64_t T) {
-  return european_call_fft(spec, T, nullptr);
 }
 
 }  // namespace amopt::pricing::topm

@@ -124,7 +124,9 @@ TEST(AloBoundary, MatchesStencilGridBoundaryAcrossGrid) {
         for (std::size_t i = 0; i < taus.size(); ++i) {
           EXPECT_NEAR(std::log(b[i] / K), lat_log[i], 3.0 * prm.ds)
               << "K=" << K << " V=" << V << " E=" << E << " tau=" << taus[i];
-          if (i > 0) EXPECT_LE(b[i], b[i - 1] + 1e-12);  // decreasing in tau
+          if (i > 0) {
+            EXPECT_LE(b[i], b[i - 1] + 1e-12);  // decreasing in tau
+          }
         }
       }
 }

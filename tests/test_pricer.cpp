@@ -556,23 +556,6 @@ TEST(Pricer, WarmStartImpliedVolConvergesFasterToTheSameRoot) {
   EXPECT_NEAR(warm.implied_vol.vol, ref.vol, 1e-6);
 }
 
-TEST(Pricer, WarmStartDisabledReplaysTheColdIterationExactly) {
-  const std::int64_t T = 256;
-  PricingRequest q;
-  q.spec = paper_spec();
-  q.T = T;
-  q.target_price = bopm::american_call_fft(q.spec, T);
-
-  PricerConfig cfg;
-  cfg.warm_start_iv = false;
-  Pricer session(cfg);
-  const PricingResult first = session.implied_vol_many({&q, 1}).front();
-  const PricingResult second = session.implied_vol_many({&q, 1}).front();
-  EXPECT_EQ(first.implied_vol.vol, second.implied_vol.vol);
-  EXPECT_EQ(first.implied_vol.iterations, second.implied_vol.iterations);
-  EXPECT_EQ(session.stats().warm_roots, 0u);
-}
-
 TEST(Pricer, ImpliedVolOutOfRangeReportsFailedToConverge) {
   PricingRequest q;
   q.spec = paper_spec();
@@ -723,9 +706,7 @@ TEST(Pricer, TrialVolFloodWithinBudgetKeepsChainGroupsWarm) {
   // Implied-vol trial evaluations mint a tap group per trial vol. At
   // T = 256 (a few KB per group) the whole flood fits the byte budget, so
   // it must leave every one of the chain's own groups warm.
-  PricerConfig cfg;
-  cfg.warm_start_iv = false;  // every tick replays the full cold Newton
-  Pricer session(cfg);
+  Pricer session;
 
   std::vector<PricingRequest> chain;
   for (double e : {0.5, 1.0, 2.0}) {
@@ -765,9 +746,7 @@ TEST(Pricer, TrialVolGroupsHoldAtMostHalfTheBudget) {
   // A cold refit at T = 4096 mints ~a dozen trial-vol groups per item
   // (~0.25 MB each), far more than the budget. Trial groups count double,
   // so the flood alone leaves at most half the budget behind.
-  PricerConfig cfg;
-  cfg.warm_start_iv = false;
-  Pricer session(cfg);
+  Pricer session;
   std::vector<PricingRequest> quotes;
   for (double k : {90.0, 100.0, 110.0}) {
     PricingRequest q;
@@ -789,9 +768,7 @@ TEST(Pricer, TrialVolGroupServesLaterRequestAtRoot) {
   // The converged root vol was evaluated by the inversion, so its tap group
   // is in the registry; a subsequent request QUOTED at that vol must hit
   // it, not rebuild it.
-  PricerConfig cfg;
-  cfg.warm_start_iv = false;
-  Pricer session(cfg);
+  Pricer session;
 
   PricingRequest q;
   q.spec = paper_spec();
@@ -1002,8 +979,8 @@ TEST(Pricer, ShareQuantumGroupingIsBatchOrderIndependent) {
 TEST(Pricer, GreeksWarmStartReplaysBumpedLegsExactly) {
   // Tick 1 prices every finite-difference leg; tick 2 re-requests the same
   // contracts and must serve the legs from the bumped-price store with
-  // bit-identical results. Opting out re-prices every leg and still agrees
-  // exactly (memoization is exact, not approximate).
+  // bit-identical results to tick 1, which priced every leg cold
+  // (memoization is exact, not approximate).
   std::vector<PricingRequest> chain;
   for (int i = 0; i < 4; ++i) {
     PricingRequest q;
@@ -1024,20 +1001,12 @@ TEST(Pricer, GreeksWarmStartReplaysBumpedLegsExactly) {
   EXPECT_GT(after2.bump_price_hits, after1.bump_price_hits);
   // No new bumped evaluations were priced on the repeat.
   EXPECT_EQ(after2.warm_bump_prices, after1.warm_bump_prices);
-
-  PricerConfig cold_cfg;
-  cold_cfg.warm_start_greeks = false;
-  Pricer cold(cold_cfg);
-  const auto cold_res = cold.greeks_many(chain);
-  EXPECT_EQ(cold.stats().warm_bump_prices, 0u);
   for (std::size_t i = 0; i < chain.size(); ++i) {
     ASSERT_EQ(tick2[i].status, Status::ok);
     EXPECT_EQ(tick1[i].greeks.vega, tick2[i].greeks.vega) << "item " << i;
     EXPECT_EQ(tick1[i].greeks.rho, tick2[i].greeks.rho);
     EXPECT_EQ(tick1[i].greeks.delta, tick2[i].greeks.delta);
     EXPECT_EQ(tick1[i].price, tick2[i].price);
-    EXPECT_EQ(cold_res[i].greeks.vega, tick1[i].greeks.vega) << "item " << i;
-    EXPECT_EQ(cold_res[i].greeks.rho, tick1[i].greeks.rho);
   }
 }
 

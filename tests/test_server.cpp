@@ -255,7 +255,7 @@ TEST(Server, ServesTheFramedProtocolOverLoopback) {
   // two chunks to exercise stream reassembly.
   for (int round = 0; round < 2; ++round) {
     std::vector<std::byte> frame;
-    wire::encode_request_batch(reqs, frame);
+    wire::encode_request_batch_v2(reqs, {}, 0, frame);
     if (round == 0) {
       ASSERT_TRUE(client->write_all(frame));
     } else {
@@ -318,7 +318,7 @@ TEST(Server, BadSolverOverrideAndRefusedRegimeAreItemErrorsNotAborts) {
   reqs[1].spec.R = -0.05;  // R < Y < 0: two exercise boundaries
   reqs[1].spec.Y = -0.01;
   std::vector<std::byte> frame;
-  wire::encode_request_batch(reqs, frame);
+  wire::encode_request_batch_v2(reqs, {}, 0, frame);
   ASSERT_TRUE(client->write_all(frame));
   std::vector<PricingResult> got;
   ASSERT_EQ(read_result_frame(*client, got), wire::DecodeError::ok);
@@ -332,7 +332,7 @@ TEST(Server, BadSolverOverrideAndRefusedRegimeAreItemErrorsNotAborts) {
   // The next request on the same connection prices normally.
   Pricer direct;
   frame.clear();
-  wire::encode_request_batch({&reqs[2], 1}, frame);
+  wire::encode_request_batch_v2({&reqs[2], 1}, {}, 0, frame);
   ASSERT_TRUE(client->write_all(frame));
   ASSERT_EQ(read_result_frame(*client, got), wire::DecodeError::ok);
   ASSERT_EQ(got.size(), 1u);
@@ -469,7 +469,7 @@ TEST(Server, StopWithGraceShedsQueuedItemsInsteadOfPricingThem) {
   EXPECT_GE(st.drain_shed, reqs.size() - 1);
 }
 
-TEST(Server, ServeSpeaksV2DeadlinesAndCountsRetriesAndDecodeErrors) {
+TEST(Server, ServeShedsDeadlinesAndCountsRetriesAndDecodeErrors) {
   ServerConfig cfg;
   cfg.coalesce_window_us = 20000;  // linger past the 1 us budgets below
   Server server(cfg);
@@ -481,7 +481,7 @@ TEST(Server, ServeSpeaksV2DeadlinesAndCountsRetriesAndDecodeErrors) {
     r.spec = paper_spec();
     r.T = 64;
   }
-  // A v2 frame with already-hopeless budgets and a retry marker.
+  // A frame with already-hopeless budgets and a retry marker.
   const std::uint64_t budgets[] = {1, 1};
   std::vector<std::byte> frame;
   wire::encode_request_batch_v2(reqs, budgets, /*attempt=*/1, frame);
@@ -492,10 +492,9 @@ TEST(Server, ServeSpeaksV2DeadlinesAndCountsRetriesAndDecodeErrors) {
   EXPECT_EQ(got[0].status, Status::deadline_exceeded);
   EXPECT_EQ(got[1].status, Status::deadline_exceeded);
 
-  // The same connection keeps serving v1 afterwards — replies mirror the
-  // request's version, so this result frame is plain v1.
+  // The same connection keeps serving a frame without deadlines.
   frame.clear();
-  wire::encode_request_batch({&reqs[0], 1}, frame);
+  wire::encode_request_batch_v2({&reqs[0], 1}, {}, 0, frame);
   ASSERT_TRUE(client->write_all(frame));
   ASSERT_EQ(read_result_frame(*client, got), wire::DecodeError::ok);
   ASSERT_EQ(got.size(), 1u);
@@ -519,6 +518,42 @@ TEST(Server, ServeSpeaksV2DeadlinesAndCountsRetriesAndDecodeErrors) {
   EXPECT_EQ(st.decode_errors, 1u);
 }
 
+TEST(Server, ServeAnswersARetiredVersionOneFrameWithADiagnostic) {
+  // A frame as the version-1 writer laid it out (version byte 1, 144-byte
+  // records) is malformed to the one-version codec: one error record
+  // naming the decode failure, then the daemon hangs up.
+  Server server;
+  auto [client, daemon] = loopback_pair();
+  std::thread conn([&server, t = daemon.get()] { server.serve(*t); });
+
+  PricingRequest q;
+  q.spec = paper_spec();
+  q.T = 64;
+  std::vector<std::byte> frame;
+  wire::encode_request_batch_v2({&q, 1}, {}, 0, frame);
+  constexpr std::uint32_t kV1RecordBytes = 144;
+  frame.resize(wire::kHeaderBytes + kV1RecordBytes);  // drop the deadline
+  frame[4] = std::byte{1};
+  std::memcpy(frame.data() + 12, &kV1RecordBytes, sizeof(kV1RecordBytes));
+  ASSERT_TRUE(client->write_all(frame));
+
+  std::vector<PricingResult> reply;
+  const wire::DecodeError e = read_result_frame(*client, reply);
+  const bool diagnosed = e == wire::DecodeError::ok && reply.size() == 1 &&
+                         reply[0].status == Status::error;
+  // Waiting for the hang-up only makes sense after the diagnostic; a
+  // daemon that priced the frame instead is still serving.
+  if (diagnosed) {
+    std::byte b;
+    EXPECT_EQ(client->read_some({&b, 1}), 0u);  // the daemon hung up
+  }
+  client->close();
+  conn.join();
+  ASSERT_TRUE(diagnosed) << wire::to_string(e);
+  EXPECT_EQ(reply[0].message, "decode: bad-version");
+  EXPECT_EQ(server.stats().decode_errors, 1u);
+}
+
 TEST(Server, TcpHardCloseMidFrameLeavesServerServingNextConnection) {
   // A client dying mid-frame must cost exactly its own connection: the
   // serve() call returns cleanly (no SIGPIPE, no wedged shard) and the
@@ -537,7 +572,7 @@ TEST(Server, TcpHardCloseMidFrameLeavesServerServingNextConnection) {
     PricingRequest q;
     q.spec = paper_spec();
     std::vector<std::byte> frame;
-    wire::encode_request_batch({&q, 1}, frame);
+    wire::encode_request_batch_v2({&q, 1}, {}, 0, frame);
     // Header plus a few record bytes, then a hard close mid-frame.
     ASSERT_TRUE(dying->write_all({frame.data(), wire::kHeaderBytes + 5}));
     dying->close();
@@ -549,7 +584,7 @@ TEST(Server, TcpHardCloseMidFrameLeavesServerServingNextConnection) {
   q.spec = paper_spec();
   q.T = 96;
   std::vector<std::byte> frame;
-  wire::encode_request_batch({&q, 1}, frame);
+  wire::encode_request_batch_v2({&q, 1}, {}, 0, frame);
   ASSERT_TRUE(client->write_all(frame));
   std::vector<PricingResult> got;
   ASSERT_EQ(read_result_frame(*client, got), wire::DecodeError::ok);
@@ -575,7 +610,7 @@ TEST(Server, TcpTransportCarriesTheSameProtocol) {
   q.spec = paper_spec();
   q.T = 96;
   std::vector<std::byte> frame;
-  wire::encode_request_batch({&q, 1}, frame);
+  wire::encode_request_batch_v2({&q, 1}, {}, 0, frame);
   ASSERT_TRUE(client->write_all(frame));
   std::vector<PricingResult> got;
   ASSERT_EQ(read_result_frame(*client, got), wire::DecodeError::ok);

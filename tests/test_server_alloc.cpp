@@ -142,7 +142,7 @@ TEST(ServerAlloc, SteadyStateWireRoundTripIsAllocationFree) {
 
   const auto round_trip = [&] {
     frame.clear();
-    wire::encode_request_batch(reqs, frame);
+    wire::encode_request_batch_v2(reqs, {}, 0, frame);
     ASSERT_TRUE(client->write_all(frame));
     std::size_t have = 0;
     for (;;) {

@@ -143,7 +143,7 @@ TEST(Wire, RequestBatchRoundTripsBitIdenticalOverAllCombinations) {
   reqs.push_back(alo);
 
   std::vector<std::byte> buf;
-  wire::encode_request_batch(reqs, buf);
+  wire::encode_request_batch_v2(reqs, {}, 0, buf);
   EXPECT_EQ(buf.size(),
             wire::kHeaderBytes + reqs.size() * wire::kRequestRecordBytes);
 
@@ -192,7 +192,7 @@ TEST(Wire, ResultBatchRoundTripsBitIdentical) {
 
 TEST(Wire, EmptyBatchesAreValidFrames) {
   std::vector<std::byte> buf;
-  wire::encode_request_batch({}, buf);
+  wire::encode_request_batch_v2({}, {}, 0, buf);
   EXPECT_EQ(buf.size(), wire::kHeaderBytes);
   std::vector<PricingRequest> back{PricingRequest{}};
   std::size_t consumed = 0;
@@ -208,7 +208,7 @@ TEST(Wire, UnknownComputeBitsPassThroughForForwardCompat) {
   PricingRequest q;
   q.compute = 0xee;
   std::vector<std::byte> buf;
-  wire::encode_request_batch({&q, 1}, buf);
+  wire::encode_request_batch_v2({&q, 1}, {}, 0, buf);
   std::vector<PricingRequest> back;
   std::size_t consumed = 0;
   ASSERT_EQ(wire::decode_request_batch(buf, back, consumed),
@@ -219,7 +219,7 @@ TEST(Wire, UnknownComputeBitsPassThroughForForwardCompat) {
 TEST(Wire, EveryTruncationIsNeedMoreNeverACrash) {
   const std::vector<PricingRequest> reqs(3);
   std::vector<std::byte> buf;
-  wire::encode_request_batch(reqs, buf);
+  wire::encode_request_batch_v2(reqs, {}, 0, buf);
   std::vector<PricingRequest> out;
   for (std::size_t len = 0; len < buf.size(); ++len) {
     std::size_t consumed = ~std::size_t{0};
@@ -233,7 +233,7 @@ TEST(Wire, EveryTruncationIsNeedMoreNeverACrash) {
 TEST(Wire, HeaderCorruptionIsDiagnosedPrecisely) {
   PricingRequest q;
   std::vector<std::byte> good;
-  wire::encode_request_batch({&q, 1}, good);
+  wire::encode_request_batch_v2({&q, 1}, {}, 0, good);
   std::vector<PricingRequest> out;
   std::size_t consumed = 0;
 
@@ -245,7 +245,7 @@ TEST(Wire, HeaderCorruptionIsDiagnosedPrecisely) {
   EXPECT_EQ(mutate(0, 0x00), wire::DecodeError::bad_magic);
   EXPECT_EQ(mutate(4, 0x7f), wire::DecodeError::bad_version);
   EXPECT_EQ(mutate(5, 0x09), wire::DecodeError::bad_kind);
-  EXPECT_EQ(mutate(6, 0x01), wire::DecodeError::bad_reserved);
+  EXPECT_EQ(mutate(7, 0x01), wire::DecodeError::bad_reserved);
   // Count/payload mismatch: count says 2, payload holds 1 record.
   EXPECT_EQ(mutate(8, 0x02), wire::DecodeError::bad_length);
   // A result frame fed to the request decoder is a kind error.
@@ -270,7 +270,7 @@ TEST(Wire, RecordCorruptionIsRejected) {
   PricingRequest q;
   q.solver.reset();
   std::vector<std::byte> good;
-  wire::encode_request_batch({&q, 1}, good);
+  wire::encode_request_batch_v2({&q, 1}, {}, 0, good);
   std::vector<PricingRequest> out;
   std::size_t consumed = 0;
 
@@ -310,18 +310,20 @@ TEST(Wire, RecordCorruptionIsRejected) {
   }
 }
 
-TEST(Wire, SolverBlockEnumBytesAfterThePathRetirements) {
+TEST(Wire, RetiredSolverBytesAreReservedZero) {
   PricingRequest q;
   q.solver = core::SolverConfig{};
   q.solver->base_case = 12;
   std::vector<std::byte> good;
-  wire::encode_request_batch({&q, 1}, good);
+  wire::encode_request_batch_v2({&q, 1}, {}, 0, good);
   const std::size_t rec = wire::kHeaderBytes;
   // Bytes 120-127 (task cutoff), 129 (drift), 130 (memory plane) and 131
-  // (conv path) carried retired solver options; encoders now write 0.
-  for (std::size_t off = 120; off < 128; ++off)
-    EXPECT_EQ(good[rec + off], std::byte{0}) << "offset " << off;
-  for (std::size_t off : {129u, 130u, 131u})
+  // (conv path) carried solver options that are now internal decisions:
+  // the encoder writes 0 and any other value is a reserved-byte violation.
+  std::vector<std::size_t> retired;
+  for (std::size_t off = 120; off < 128; ++off) retired.push_back(off);
+  for (std::size_t off : {129u, 130u, 131u}) retired.push_back(off);
+  for (std::size_t off : retired)
     EXPECT_EQ(good[rec + off], std::byte{0}) << "offset " << off;
   std::vector<PricingRequest> out;
   std::size_t consumed = 0;
@@ -330,35 +332,19 @@ TEST(Wire, SolverBlockEnumBytesAfterThePathRetirements) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].solver->base_case, 12);
 
-  // An older encoder's legacy values still decode, to the same request:
-  // any i64 task cutoff, drift 1 (growing), memory plane 1 (heap), and
-  // every conv path (0 automatic, 1 direct, 2 fft).
-  const auto decodes_as_good = [&](std::size_t off, std::uint8_t v) {
-    std::vector<std::byte> old = good;
-    old[rec + off] = static_cast<std::byte>(v);
-    std::vector<PricingRequest> old_out;
-    ASSERT_EQ(wire::decode_request_batch(old, old_out, consumed),
-              wire::DecodeError::ok)
-        << "offset " << off << " value " << int(v);
-    ASSERT_EQ(old_out.size(), 1u);
-    expect_bitwise_equal(old_out[0], out[0]);
-  };
-  for (std::size_t off = 120; off < 128; ++off) decodes_as_good(off, 0xff);
-  decodes_as_good(129, 1);
-  decodes_as_good(130, 1);
-  decodes_as_good(131, 1);
-  decodes_as_good(131, 2);
-
-  // Values outside the legacy ranges were never valid.
-  for (const auto& [off, v] : {std::pair<std::size_t, std::uint8_t>{129, 2},
-                              {130, 2},
-                              {131, 3}}) {
-    std::vector<std::byte> bad = good;
-    bad[rec + off] = static_cast<std::byte>(v);
-    EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
-              wire::DecodeError::bad_enum)
-        << "offset " << off << " value " << int(v);
-  }
+  for (std::size_t off : retired)
+    for (std::uint8_t v : {0x01, 0x02, 0xff}) {
+      std::vector<std::byte> bad = good;
+      bad[rec + off] = static_cast<std::byte>(v);
+      EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
+                wire::DecodeError::bad_reserved)
+          << "offset " << off << " value " << int(v);
+    }
+  // The parallel flag between them is still a 0/1 enum byte.
+  std::vector<std::byte> bad = good;
+  bad[rec + 128] = std::byte{2};
+  EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
+            wire::DecodeError::bad_enum);
 }
 
 TEST(Wire, SingleByteFuzzNeverCrashesTheDecoders) {
@@ -370,7 +356,7 @@ TEST(Wire, SingleByteFuzzNeverCrashesTheDecoders) {
   std::vector<PricingRequest> reqs(2);
   reqs[1].solver = core::SolverConfig{};
   std::vector<std::byte> good;
-  wire::encode_request_batch(reqs, good);
+  wire::encode_request_batch_v2(reqs, {}, 0, good);
   std::vector<PricingRequest> out;
   constexpr std::uint8_t kProbes[] = {0x00, 0x01, 0x7f, 0x80, 0xff};
   for (std::size_t off = 0; off < good.size(); ++off) {
@@ -397,9 +383,9 @@ TEST(Wire, StreamDecodingConsumesExactlyOneFrame) {
   first[0].T = 111;
   second[0].T = 222;
   std::vector<std::byte> stream;
-  wire::encode_request_batch(first, stream);
+  wire::encode_request_batch_v2(first, {}, 0, stream);
   const std::size_t first_bytes = stream.size();
-  wire::encode_request_batch(second, stream);
+  wire::encode_request_batch_v2(second, {}, 0, stream);
   const std::size_t second_bytes = stream.size() - first_bytes;
   stream.push_back(std::byte{'A'});  // start of a third frame's magic
 
@@ -422,13 +408,32 @@ TEST(Wire, StreamDecodingConsumesExactlyOneFrame) {
             wire::DecodeError::need_more);
 }
 
-// ------------------------------------------------------------- wire v2
-// The deadline extension (DESIGN.md §11): v2 request records carry a
-// trailing u64 remaining-budget field, the header's byte 6 becomes the
-// client's attempt counter, and result frames may carry
-// `deadline_exceeded` — while every v1 frame keeps decoding bit-exactly.
+// ------------------------------------------------------ deadlines, attempt
+// The failure plane (DESIGN.md §11): request records carry a trailing u64
+// remaining-budget field, the header's byte 6 is the client's attempt
+// counter, and result frames may carry `deadline_exceeded`.
 
-TEST(WireV2, RequestBatchRoundTripsDeadlinesAndAttempt) {
+/// A request frame as the retired version-1 writer laid it out: version
+/// byte 1, 144-byte records without the deadline field.
+[[nodiscard]] std::vector<std::byte> v1_request_frame(
+    std::span<const PricingRequest> reqs) {
+  constexpr std::size_t kV1RecordBytes = 144;
+  std::vector<std::byte> v2;
+  wire::encode_request_batch_v2(reqs, {}, 0, v2);
+  std::vector<std::byte> v1(v2.begin(), v2.begin() + wire::kHeaderBytes);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const std::byte* rec =
+        v2.data() + wire::kHeaderBytes + i * wire::kRequestRecordBytes;
+    v1.insert(v1.end(), rec, rec + kV1RecordBytes);
+  }
+  v1[4] = std::byte{1};
+  const auto payload =
+      static_cast<std::uint32_t>(v1.size() - wire::kHeaderBytes);
+  std::memcpy(v1.data() + 12, &payload, sizeof(payload));
+  return v1;
+}
+
+TEST(Wire, RequestBatchRoundTripsDeadlinesAndAttempt) {
   std::vector<PricingRequest> reqs = exhaustive_requests();
   std::vector<std::uint64_t> deadlines(reqs.size());
   for (std::size_t i = 0; i < deadlines.size(); ++i)
@@ -437,7 +442,7 @@ TEST(WireV2, RequestBatchRoundTripsDeadlinesAndAttempt) {
   std::vector<std::byte> buf;
   wire::encode_request_batch_v2(reqs, deadlines, /*attempt=*/3, buf);
   EXPECT_EQ(buf.size(),
-            wire::kHeaderBytes + reqs.size() * wire::kRequestRecordBytesV2);
+            wire::kHeaderBytes + reqs.size() * wire::kRequestRecordBytes);
 
   std::vector<PricingRequest> back;
   std::vector<std::uint64_t> back_deadlines;
@@ -447,7 +452,6 @@ TEST(WireV2, RequestBatchRoundTripsDeadlinesAndAttempt) {
       wire::decode_request_batch(buf, back, back_deadlines, hdr, consumed),
       wire::DecodeError::ok);
   EXPECT_EQ(consumed, buf.size());
-  EXPECT_EQ(hdr.version, 2);
   EXPECT_EQ(hdr.attempt, 3);
   ASSERT_EQ(back.size(), reqs.size());
   ASSERT_EQ(back_deadlines.size(), deadlines.size());
@@ -455,38 +459,18 @@ TEST(WireV2, RequestBatchRoundTripsDeadlinesAndAttempt) {
     expect_bitwise_equal(reqs[i], back[i]);
     EXPECT_EQ(back_deadlines[i], deadlines[i]);
   }
+
+  // The deadline-free decoder drops the deadlines, requests intact.
+  std::vector<PricingRequest> plain;
+  ASSERT_EQ(wire::decode_request_batch(buf, plain, consumed),
+            wire::DecodeError::ok);
+  EXPECT_EQ(consumed, buf.size());
+  ASSERT_EQ(plain.size(), reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i)
+    expect_bitwise_equal(reqs[i], plain[i]);
 }
 
-TEST(WireV2, CrossVersionDecoding) {
-  // v1 frame through the deadline-aware decoder: zero deadlines, attempt 0.
-  std::vector<PricingRequest> reqs(2);
-  reqs[0].T = 333;
-  std::vector<std::byte> v1;
-  wire::encode_request_batch(reqs, v1);
-  std::vector<PricingRequest> out;
-  std::vector<std::uint64_t> dl{99u, 99u};  // stale values must be overwritten
-  wire::FrameHeader hdr;
-  std::size_t consumed = 0;
-  ASSERT_EQ(wire::decode_request_batch(v1, out, dl, hdr, consumed),
-            wire::DecodeError::ok);
-  EXPECT_EQ(hdr.version, 1);
-  EXPECT_EQ(hdr.attempt, 0);
-  EXPECT_EQ(dl, (std::vector<std::uint64_t>{0, 0}));
-  EXPECT_EQ(out.at(0).T, 333);
-
-  // v2 frame through the legacy deadline-free decoder: deadlines dropped,
-  // requests intact.
-  std::vector<std::byte> v2;
-  const std::uint64_t budgets[] = {500, 0};
-  wire::encode_request_batch_v2(reqs, budgets, /*attempt=*/1, v2);
-  ASSERT_EQ(wire::decode_request_batch(v2, out, consumed),
-            wire::DecodeError::ok);
-  EXPECT_EQ(consumed, v2.size());
-  ASSERT_EQ(out.size(), 2u);
-  expect_bitwise_equal(reqs[0], out[0]);
-}
-
-TEST(WireV2, EveryTruncationIsNeedMoreAtEveryNewOffset) {
+TEST(Wire, EveryTruncationIsNeedMoreAtEveryDeadlineOffset) {
   std::vector<PricingRequest> reqs(3);
   const std::uint64_t budgets[] = {1, 2, 3};
   std::vector<std::byte> buf;
@@ -504,101 +488,96 @@ TEST(WireV2, EveryTruncationIsNeedMoreAtEveryNewOffset) {
   }
 }
 
-TEST(WireV2, HeaderValidationPerVersion) {
+TEST(Wire, HeaderValidation) {
   PricingRequest q;
-  std::vector<std::byte> v2;
-  wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/7, v2);
+  std::vector<std::byte> frame;
+  wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/7, frame);
   std::vector<PricingRequest> out;
   std::size_t consumed = 0;
 
-  // A nonzero byte 6 is the attempt counter in v2 (not bad_reserved)...
-  ASSERT_EQ(wire::decode_request_batch(v2, out, consumed),
+  // A nonzero byte 6 is the attempt counter (not bad_reserved)...
+  ASSERT_EQ(wire::decode_request_batch(frame, out, consumed),
             wire::DecodeError::ok);
-  // ...byte 7 stays reserved-zero in both versions...
+  // ...byte 7 is reserved-zero...
   {
-    std::vector<std::byte> bad = v2;
+    std::vector<std::byte> bad = frame;
     bad[7] = std::byte{1};
     EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
               wire::DecodeError::bad_reserved);
   }
-  // ...and a version this decoder does not speak is still rejected.
+  // ...and a version this decoder does not speak is rejected.
   {
-    std::vector<std::byte> bad = v2;
+    std::vector<std::byte> bad = frame;
     bad[4] = std::byte{3};
     EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
               wire::DecodeError::bad_version);
   }
-  // Re-labeling the v2 frame as v1 fails at its first v1 violation: with
-  // the attempt byte set it is bad_reserved (v1 keeps byte 6 zero); with
-  // attempt 0 the 152-byte stride mismatches v1's 144 and it is
-  // bad_length. The version byte decides the stride, no guessing.
-  {
-    std::vector<std::byte> bad = v2;
-    bad[4] = std::byte{1};
-    EXPECT_EQ(wire::decode_request_batch(bad, out, consumed),
-              wire::DecodeError::bad_reserved);
-  }
-  {
-    std::vector<std::byte> relabeled;
-    wire::encode_request_batch_v2({&q, 1}, {}, /*attempt=*/0, relabeled);
-    relabeled[4] = std::byte{1};
-    EXPECT_EQ(wire::decode_request_batch(relabeled, out, consumed),
-              wire::DecodeError::bad_length);
-  }
 }
 
-TEST(WireV2, DeadlineExceededTravelsOnlyInV2Frames) {
+TEST(Wire, RetiredVersionOneFramesAreBadVersion) {
+  // The codec speaks one version: a frame as the version-1 writer laid it
+  // out (144-byte records) is refused at its header by every decoder,
+  // never read at the wrong stride.
+  std::vector<PricingRequest> reqs(2);
+  reqs[0].T = 333;
+  const std::vector<std::byte> v1 = v1_request_frame(reqs);
+  ASSERT_EQ(v1.size(), wire::kHeaderBytes + 2 * 144);
+  wire::FrameHeader hdr;
+  EXPECT_EQ(wire::peek_header(v1, hdr), wire::DecodeError::bad_version);
+  std::vector<PricingRequest> out;
+  std::vector<std::uint64_t> dl;
+  std::size_t consumed = 0;
+  EXPECT_EQ(wire::decode_request_batch(v1, out, consumed),
+            wire::DecodeError::bad_version);
+  EXPECT_EQ(wire::decode_request_batch(v1, out, dl, hdr, consumed),
+            wire::DecodeError::bad_version);
+  EXPECT_EQ(consumed, 0u);
+
+  // Result frames likewise.
+  std::vector<PricingResult> results(1);
+  std::vector<std::byte> res;
+  wire::encode_result_batch(results, res);
+  res[4] = std::byte{1};
+  std::vector<PricingResult> rout;
+  EXPECT_EQ(wire::decode_result_batch(res, rout, consumed),
+            wire::DecodeError::bad_version);
+}
+
+TEST(Wire, DeadlineExceededRoundTrips) {
   std::vector<PricingResult> results(1);
   results[0].status = Status::deadline_exceeded;
   results[0].message = "deadline exceeded: request went stale";
 
-  // v2: round trips.
   std::vector<std::byte> buf;
-  wire::encode_result_batch(results, buf, /*version=*/2);
+  wire::encode_result_batch(results, buf);
   std::vector<PricingResult> back;
   std::size_t consumed = 0;
   ASSERT_EQ(wire::decode_result_batch(buf, back, consumed),
             wire::DecodeError::ok);
   EXPECT_EQ(back.at(0).status, Status::deadline_exceeded);
 
-  // Encoding it into a v1 frame is a caller bug, not silent corruption.
-  std::vector<std::byte> v1;
-  EXPECT_THROW(wire::encode_result_batch(results, v1, /*version=*/1),
-               std::length_error);
-
-  // A hand-patched v1 frame claiming status 5 is rejected on decode: v1
-  // peers never see a status byte they do not speak.
-  results[0].status = Status::ok;
-  results[0].message.clear();
-  std::vector<std::byte> patched;
-  wire::encode_result_batch(results, patched, /*version=*/1);
-  patched[wire::kHeaderBytes] = std::byte{5};
-  EXPECT_EQ(wire::decode_result_batch(patched, back, consumed),
-            wire::DecodeError::bad_enum);
-  // And out-of-range even for v2 is still bad_enum.
-  std::vector<std::byte> patched2;
-  wire::encode_result_batch(results, patched2, /*version=*/2);
-  patched2[wire::kHeaderBytes] = std::byte{6};
-  EXPECT_EQ(wire::decode_result_batch(patched2, back, consumed),
+  // One past the last status is bad_enum.
+  buf[wire::kHeaderBytes] = std::byte{6};
+  EXPECT_EQ(wire::decode_result_batch(buf, back, consumed),
             wire::DecodeError::bad_enum);
 }
 
-TEST(WireV2, MixedVersionMultiFrameStreamWithInjectedFaults) {
-  // A stream of v1 and v2 frames back to back, decoded the way serve()
-  // does — then the same stream with faults injected between and inside
-  // frames. The decoder must peel clean frames exactly and convert every
-  // fault into a DecodeError at the frame it corrupts, never before.
+TEST(Wire, MultiFrameStreamWithInjectedFaults) {
+  // Frames with and without deadlines back to back, decoded the way
+  // serve() does — then the same stream with faults injected between and
+  // inside frames. The decoder must peel clean frames exactly and convert
+  // every fault into a DecodeError at the frame it corrupts, never before.
   std::vector<PricingRequest> a(2), b(1), c(3);
   a[0].T = 11;
   b[0].T = 22;
   c[0].T = 33;
   const std::uint64_t budgets_b[] = {1234};
   std::vector<std::byte> stream;
-  wire::encode_request_batch(a, stream);
+  wire::encode_request_batch_v2(a, {}, 0, stream);
   const std::size_t a_end = stream.size();
   wire::encode_request_batch_v2(b, budgets_b, /*attempt=*/2, stream);
   const std::size_t b_end = stream.size();
-  wire::encode_request_batch(c, stream);
+  wire::encode_request_batch_v2(c, {}, 0, stream);
 
   const auto drain = [](std::span<const std::byte> cursor,
                         std::vector<std::size_t>& counts) {
@@ -642,7 +621,7 @@ TEST(WireV2, MixedVersionMultiFrameStreamWithInjectedFaults) {
     EXPECT_EQ(drain(bad, counts), wire::DecodeError::bad_magic);
     EXPECT_EQ(counts, (std::vector<std::size_t>{2}));
   }
-  {  // single-byte fuzz across the whole mixed stream: never a crash
+  {  // single-byte fuzz across the whole stream: never a crash
     std::vector<PricingRequest> out;
     std::vector<std::uint64_t> dl;
     wire::FrameHeader hdr;
@@ -666,9 +645,9 @@ TEST(WireV2, MixedVersionMultiFrameStreamWithInjectedFaults) {
 TEST(Wire, EncodeAppendsSoFramesPackIntoOneWrite) {
   PricingRequest q;
   std::vector<std::byte> buf;
-  wire::encode_request_batch({&q, 1}, buf);
+  wire::encode_request_batch_v2({&q, 1}, {}, 0, buf);
   const std::size_t one = buf.size();
-  wire::encode_request_batch({&q, 1}, buf);
+  wire::encode_request_batch_v2({&q, 1}, {}, 0, buf);
   EXPECT_EQ(buf.size(), 2 * one);  // first frame untouched, second appended
   wire::FrameHeader hdr;
   EXPECT_EQ(wire::peek_header(buf, hdr), wire::DecodeError::ok);
